@@ -7,15 +7,8 @@ shape. An executable reference semantics double-checks the result by
 enumerating concrete runs and comparing them against the static answer.
 """
 
-from .blocks import Block, Terminator, block_at, partition_blocks
-from .bytecode import (
-    Instruction,
-    OpSpec,
-    Program,
-    decode_bytecode,
-    instruction_size,
-    jump_destinations,
-)
+from .blocks import Block, Terminator, partition_blocks
+from .bytecode import Instruction, OpSpec, Program, decode_bytecode
 from .cfg import (
     Cfg,
     ReplicaId,
@@ -24,11 +17,9 @@ from .cfg import (
     export_dot,
     export_json,
     get_id,
-    get_size,
     get_stack,
 )
 from .domain import (
-    TOP,
     AbstractState,
     StackState,
     bottom,
@@ -68,11 +59,9 @@ __all__ = [
     "Program",
     "ReplicaId",
     "StackState",
-    "TOP",
     "Terminator",
     "TraceSet",
     "Verdict",
-    "block_at",
     "bottom",
     "build_cfg",
     "cfg_from_json",
@@ -84,14 +73,11 @@ __all__ = [
     "export_json",
     "generate_program",
     "get_id",
-    "get_size",
     "get_stack",
     "idmap",
     "img",
     "initial_state",
-    "instruction_size",
     "join",
-    "jump_destinations",
     "leq",
     "partition_blocks",
     "random_shape",

@@ -11,11 +11,9 @@ reported separately as unreached.
 from __future__ import annotations
 
 import enum
-from bisect import bisect_right
 from dataclasses import dataclass
 
 from .bytecode import Instruction, Program, JUMPDEST_BYTE, JUMPI_BYTE, JUMP_BYTE
-from .errors import BlockLookupError
 
 
 class Terminator(enum.Enum):
@@ -44,9 +42,6 @@ class Block:
     @property
     def last(self) -> Instruction:
         return self.body[-1]
-
-    def pcs(self) -> tuple[int, ...]:
-        return tuple(ins.pc for ins in self.body)
 
 
 def _terminator_for(last: Instruction, next_is_jumpdest: bool) -> Terminator:
@@ -99,14 +94,3 @@ def partition_blocks(program: Program) -> tuple[tuple[Block, ...], frozenset[int
         prev_byte = byte
 
     return tuple(blocks), frozenset(unreached)
-
-
-def block_at(blocks: tuple[Block, ...], pc: int) -> Block:
-    """Find the block whose body contains pc. Raises for unreached pcs."""
-    starts = [b.start_pc for b in blocks]
-    i = bisect_right(starts, pc) - 1
-    if i >= 0:
-        candidate = blocks[i]
-        if any(ins.pc == pc for ins in candidate.body):
-            return candidate
-    raise BlockLookupError(f"pc 0x{pc:x} belongs to no block", pc=pc)

@@ -13,8 +13,6 @@ from dataclasses import dataclass, field
 
 from .errors import DecodeError
 
-STACK_LIMIT = 1024
-
 JUMP_BYTE = 0x56
 JUMPI_BYTE = 0x57
 JUMPDEST_BYTE = 0x5B
@@ -185,10 +183,6 @@ class Instruction:
         return self.spec.mnemonic
 
 
-def instruction_size(instr: Instruction) -> int:
-    return instr.size
-
-
 @dataclass(frozen=True)
 class Program:
     """Decoded bytecode: ordered instructions plus jump landing set."""
@@ -279,8 +273,3 @@ def decode_bytecode(hex_text: str) -> Program:
         jumpdests=frozenset(jumpdests),
         diagnostics=tuple(diagnostics),
     )
-
-
-def jump_destinations(program: Program) -> frozenset[int]:
-    """Pcs that are legal jump landings (JUMPDEST opcodes outside immediates)."""
-    return program.jumpdests

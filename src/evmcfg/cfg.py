@@ -8,7 +8,8 @@ the tracked map), which makes ids independent of solver visit order.
 
 Jump edges connect a block ending in JUMP or JUMPI to the replicas of the
 destinations tracked on top of the stack. Next edges cover the fall-through
-of a JUMPI and falling into a JUMPDEST-led block.
+of a JUMPI and falling into a JUMPDEST-led block. Both come from
+equations.block_exits, the rule the solver's constraints are built from.
 """
 
 from __future__ import annotations
@@ -16,11 +17,9 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
-from .blocks import Block, Terminator, block_at
-from .domain import StackState, img
-from .equations import EquationSystem
-from .errors import AmbiguousHeightError, CfgBuildError, ReplicaLookupError
-from .transfer import update_stack
+from .domain import StackState
+from .equations import EquationSystem, block_exits
+from .errors import ReplicaLookupError
 
 
 @dataclass(frozen=True, order=True)
@@ -40,20 +39,6 @@ class Cfg:
     jump_edges: frozenset[tuple[ReplicaId, ReplicaId]]
     next_edges: frozenset[tuple[ReplicaId, ReplicaId]]
     entry: ReplicaId
-
-    def unreachable(self) -> frozenset[ReplicaId]:
-        """Vertices no edge path reaches from the entry. Reported, not pruned."""
-        succ: dict[ReplicaId, list[ReplicaId]] = {}
-        for a, b in self.jump_edges | self.next_edges:
-            succ.setdefault(a, []).append(b)
-        seen = {self.entry}
-        frontier = [self.entry]
-        while frontier:
-            for nxt in succ.get(frontier.pop(), ()):
-                if nxt not in seen:
-                    seen.add(nxt)
-                    frontier.append(nxt)
-        return self.vertices - seen
 
 
 def get_id(block_start: int, s: StackState, system: EquationSystem) -> ReplicaId:
@@ -80,72 +65,10 @@ def get_stack(block_start: int, replica: int, system: EquationSystem) -> StackSt
     return contexts[replica - 1]
 
 
-def get_size(
-    pc: int,
-    replica: int,
-    system: EquationSystem,
-    all_heights: bool = False,
-) -> int | frozenset[int]:
-    """Stack height at pc when the surrounding block was entered as replica.
-
-    With all_heights the full set of possible heights is returned; otherwise
-    a unique height is required and ambiguity raises.
-    """
-    block = block_at(system.blocks, pc)
-    context = get_stack(block.start_pc, replica, system)
-    members = img(system.state_at(pc), context)
-    if not members:
-        raise ReplicaLookupError(
-            f"entry context {context.render()} never reaches pc 0x{pc:x}",
-            pc=pc,
-        )
-    heights = frozenset(m.n for m in members)
-    if all_heights:
-        return heights
-    if len(heights) > 1:
-        raise AmbiguousHeightError(
-            f"pc 0x{pc:x} reached with heights {sorted(heights)} under"
-            f" entry context {context.render()}",
-            pc=pc,
-        )
-    return next(iter(heights))
-
-
-def _block_edges(
-    block: Block, system: EquationSystem
-) -> tuple[list[tuple[ReplicaId, ReplicaId]], list[tuple[ReplicaId, ReplicaId]]]:
-    last = block.last
-    exit_state = system.state_at(block.end_pc)
-    jumpdests = system.program.jumpdests
-    jump_edges = []
-    next_edges = []
-    for context in sorted(exit_state, key=StackState.sort_key):
-        source = get_id(block.start_pc, context, system)
-        for member in sorted(exit_state[context], key=StackState.sort_key):
-            if block.terminator in (Terminator.JUMP, Terminator.JUMPI):
-                dests = member.top_destinations()
-                if dests is None:
-                    raise CfgBuildError(
-                        f"jump at pc 0x{last.pc:x} lost its tracked target"
-                        f" under context {context.render()}",
-                        pc=last.pc,
-                    )
-                landed = update_stack(last, member, jumpdests)
-                for dest in dests:
-                    jump_edges.append((source, get_id(dest, landed, system)))
-            if block.terminator in (Terminator.JUMPI, Terminator.FALL_TO_JUMPDEST):
-                fallthrough = last.next_pc
-                if system.program.has_instruction(fallthrough):
-                    landed = update_stack(last, member, jumpdests)
-                    next_edges.append((source, get_id(fallthrough, landed, system)))
-    return jump_edges, next_edges
-
-
 def build_cfg(system: EquationSystem) -> Cfg:
     """Expand blocks into per-context replicas and wire the edges."""
     vertices: list[ReplicaId] = []
-    jump_edges: list[tuple[ReplicaId, ReplicaId]] = []
-    next_edges: list[tuple[ReplicaId, ReplicaId]] = []
+    edges: dict[str, list[tuple[ReplicaId, ReplicaId]]] = {"jump": [], "next": []}
     for block in system.blocks:
         contexts = system.entry_contexts(block.start_pc)
         vertices.extend(
@@ -153,28 +76,27 @@ def build_cfg(system: EquationSystem) -> Cfg:
         )
         if not contexts:
             continue  # never entered, no replicas and no edges
-        je, ne = _block_edges(block, system)
-        jump_edges.extend(je)
-        next_edges.extend(ne)
+        exits = block_exits(system.program, block.last, system.state_at(block.end_pc))
+        for context, kind, target, landed in exits:
+            edges[kind].append(
+                (get_id(block.start_pc, context, system), get_id(target, landed, system))
+            )
 
     entry = get_id(0, StackState.make(0), system)
     return Cfg(
         vertices=frozenset(vertices),
-        jump_edges=frozenset(jump_edges),
-        next_edges=frozenset(next_edges),
+        jump_edges=frozenset(edges["jump"]),
+        next_edges=frozenset(edges["next"]),
         entry=entry,
     )
-
-
-def _replica_block(system: EquationSystem, replica: ReplicaId) -> Block:
-    return block_at(system.blocks, replica.block_start)
 
 
 def export_dot(cfg: Cfg, system: EquationSystem) -> str:
     """Graphviz rendering: solid jump edges, dashed next edges."""
     lines = ["digraph cfg {"]
+    blocks = {block.start_pc: block for block in system.blocks}
     for replica in sorted(cfg.vertices):
-        block = _replica_block(system, replica)
+        block = blocks[replica.block_start]
         label_parts = [f"0x{block.start_pc:02x}..0x{block.end_pc:02x}"]
         label_parts += [ins.render() for ins in block.body]
         label = "\\n".join(label_parts)
@@ -192,12 +114,6 @@ def _stack_to_json(s: StackState) -> dict:
         "n": s.n,
         "sigma": {str(pos): list(dests) for pos, dests in s.sigma},
     }
-
-
-def _stack_from_json(obj: dict) -> StackState:
-    return StackState.make(
-        obj["n"], {int(pos): dests for pos, dests in obj["sigma"].items()}
-    )
 
 
 def _edge_to_json(kind: str, edge: tuple[ReplicaId, ReplicaId]) -> dict:

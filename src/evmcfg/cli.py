@@ -14,7 +14,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 from .blocks import Block
@@ -33,23 +32,6 @@ from .oracle import (
 EXIT_OK = 0
 EXIT_ERROR = 1
 EXIT_UNSOUND = 2
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    hex_text: str | None = None
-    file: str | None = None
-    show_blocks: bool = False
-    dot_path: str | None = None
-    json_path: str | None = None
-    check: bool = False
-    max_steps: int = DEFAULT_MAX_STEPS
-    max_states: int = DEFAULT_MAX_STATES
-    solver: str = "worklist"
-    verbose: int = 0
-
-    def wants_something(self) -> bool:
-        return bool(self.show_blocks or self.dot_path or self.json_path or self.check)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -103,21 +85,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    return RunConfig(
-        hex_text=args.hex_text,
-        file=args.file,
-        show_blocks=args.blocks,
-        dot_path=args.dot,
-        json_path=args.json,
-        check=args.check,
-        max_steps=args.max_steps,
-        max_states=args.max_states,
-        solver=args.solver,
-        verbose=args.verbose,
-    )
-
-
 def _fail(payload: dict) -> int:
     print(json.dumps({"error": payload}, sort_keys=True), file=sys.stderr)
     return EXIT_ERROR
@@ -131,9 +98,9 @@ def _format_block(block: Block) -> str:
     )
 
 
-def run(config: RunConfig) -> int:
-    """Execute one CLI invocation described by config."""
-    if not config.wants_something():
+def run(args: argparse.Namespace) -> int:
+    """Execute one CLI invocation described by parsed arguments."""
+    if not (args.blocks or args.dot or args.json or args.check):
         return _fail(
             {
                 "kind": "usage_error",
@@ -141,17 +108,17 @@ def run(config: RunConfig) -> int:
             }
         )
     try:
-        if config.file is not None:
-            hex_text = Path(config.file).read_text()
+        if args.file is not None:
+            hex_text = Path(args.file).read_text(encoding="utf-8")
         else:
-            hex_text = config.hex_text or ""
-    except OSError as err:
+            hex_text = args.hex_text or ""
+    except (OSError, UnicodeDecodeError) as err:
         return _fail({"kind": "io_error", "message": str(err)})
 
-    trace = (lambda line: print(line, file=sys.stderr)) if config.verbose else None
+    trace = (lambda line: print(line, file=sys.stderr)) if args.verbose else None
     try:
         program = decode_bytecode(hex_text)
-        system = solve(program, mode=config.solver, trace=trace)
+        system = solve(program, mode=args.solver, trace=trace)
         cfg = build_cfg(system)
     except AnalysisError as err:
         return _fail(err.report())
@@ -159,7 +126,7 @@ def run(config: RunConfig) -> int:
     for diagnostic in program.diagnostics:
         print(f"note: {diagnostic}", file=sys.stderr)
 
-    if config.show_blocks:
+    if args.blocks:
         for block in system.blocks:
             print(_format_block(block))
         if system.unreached:
@@ -167,17 +134,17 @@ def run(config: RunConfig) -> int:
             print(f"unreached: {rendered}")
 
     try:
-        if config.dot_path:
-            Path(config.dot_path).write_text(export_dot(cfg, system))
-        if config.json_path:
-            Path(config.json_path).write_text(export_json(cfg, system))
+        if args.dot:
+            Path(args.dot).write_text(export_dot(cfg, system))
+        if args.json:
+            Path(args.json).write_text(export_json(cfg, system))
     except OSError as err:
         return _fail({"kind": "io_error", "message": str(err)})
 
-    if config.check:
+    if args.check:
         try:
             traces = enumerate_states(
-                program, max_steps=config.max_steps, max_states=config.max_states
+                program, max_steps=args.max_steps, max_states=args.max_states
             )
         except AnalysisError as err:
             return _fail(err.report())
@@ -210,7 +177,7 @@ def main(argv: list[str] | None = None) -> int:
         # argparse exits with 2 on usage errors; 2 is reserved for soundness
         # violations here, so remap.
         return EXIT_ERROR if err.code else EXIT_OK
-    return run(_config_from_args(args))
+    return run(args)
 
 
 def entry() -> None:

@@ -9,8 +9,7 @@ An AbstractState is a partial map from entry StackStates (the stack shapes a
 block can be entered with) to the sets of StackStates those entries have
 evolved into at the current instruction. Joining two AbstractStates unions
 their domains and, for shared keys, unions the image sets pointwise. The
-empty map is the least element. A distinguished TOP marker exists so callers
-can represent "every state possible", but the solver never constructs it.
+empty map is the least element.
 """
 
 from __future__ import annotations
@@ -83,34 +82,16 @@ class StackState:
 AbstractState = dict[StackState, frozenset[StackState]]
 
 
-class _TopMarker:
-    """Singleton marker for the greatest element. Never built by the solver."""
-
-    def __repr__(self) -> str:
-        return "TOP"
-
-
-TOP = _TopMarker()
-
-
 def bottom() -> AbstractState:
     return {}
 
 
-def is_top(value) -> bool:
-    return value is TOP
-
-
-def img(pi: AbstractState | _TopMarker, s: StackState) -> frozenset[StackState]:
+def img(pi: AbstractState, s: StackState) -> frozenset[StackState]:
     """Image of one entry context; empty when the context is absent."""
-    if is_top(pi):
-        raise ValueError("TOP has no finite image")
     return pi.get(s, frozenset())
 
 
-def join(p1, p2):
-    if is_top(p1) or is_top(p2):
-        return TOP
+def join(p1: AbstractState, p2: AbstractState) -> AbstractState:
     out: AbstractState = dict(p1)
     for key, states in p2.items():
         existing = out.get(key)
@@ -118,11 +99,7 @@ def join(p1, p2):
     return out
 
 
-def leq(p1, p2) -> bool:
-    if is_top(p2):
-        return True
-    if is_top(p1):
-        return False
+def leq(p1: AbstractState, p2: AbstractState) -> bool:
     for key, states in p1.items():
         if not states <= p2.get(key, frozenset()):
             return False
@@ -132,15 +109,3 @@ def leq(p1, p2) -> bool:
 def idmap(s: StackState) -> AbstractState:
     """Abstract state opening a fresh entry context for s."""
     return {s: frozenset((s,))}
-
-
-def render_abstract(pi: AbstractState | _TopMarker) -> str:
-    if is_top(pi):
-        return "TOP"
-    parts = []
-    for key in sorted(pi, key=StackState.sort_key):
-        members = ", ".join(
-            m.render() for m in sorted(pi[key], key=StackState.sort_key)
-        )
-        parts.append(f"{key.render()} -> {{{members}}}")
-    return "{" + "; ".join(parts) + "}"

@@ -17,6 +17,9 @@ contribute to their successors as follows:
     pc falls outside the code also contributes nothing: execution running
     off the end simply stops.
 
+The moves into a new block (the first three rules) are block_exits, which
+build_cfg also turns into the graph's edges.
+
 Solving joins contributions until nothing changes. The worklist solver
 revisits only pcs whose inputs grew; the naive solver re-evaluates every
 constraint in rounds and exists to cross-check the worklist result.
@@ -29,7 +32,7 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 from .blocks import Block, partition_blocks
-from .bytecode import Instruction, JUMPDEST_BYTE, JUMPI_BYTE, Program
+from .bytecode import Instruction, JUMPI_BYTE, Program
 from .domain import AbstractState, StackState, bottom, idmap, join, leq
 from .errors import AnalysisError, InvalidTargetError, UnresolvedJumpError
 from .transfer import transfer, update_stack
@@ -39,6 +42,7 @@ __all__ = [
     "EquationSystem",
     "SolveStats",
     "solve",
+    "block_exits",
     "contributions",
     "verify_fixpoint",
     "initial_state",
@@ -106,46 +110,65 @@ def _jump_members(
     return out
 
 
+def block_exits(
+    program: Program, instr: Instruction, pi: AbstractState
+) -> list[tuple[StackState, str, int, StackState]]:
+    """(entry context, kind, target pc, landed state) per move into a new block.
+
+    instr ends a block. A jump moves to every destination tracked on top of
+    the stack ("jump"); a JUMPI, and an instruction falling into a JUMPDEST,
+    also move to the next pc ("next"). A halt, or running off the end of the
+    code, moves nowhere. Every member's top of stack is checked before any
+    update_stack: UnresolvedJumpError for an untracked target, then
+    InvalidTargetError for a tracked destination that is not a jump landing.
+    """
+    spec = instr.spec
+    if spec.halts:
+        return []
+    jumpdests = program.jumpdests
+    falls = program.has_instruction(instr.next_pc)
+    if spec.is_jump:
+        members = _jump_members(instr, pi)
+        falls = falls and spec.byte_value == JUMPI_BYTE
+    elif instr.next_pc in jumpdests:
+        members = [(key, member, ()) for key, ms in pi.items() for member in ms]
+    else:
+        return []
+    out = []
+    for key, member, dests in members:
+        landed = update_stack(instr, member, jumpdests)
+        for dest in dests:
+            if dest not in jumpdests:
+                raise InvalidTargetError(
+                    f"jump at pc 0x{instr.pc:x} targets 0x{dest:x},"
+                    f" which is not a jump landing",
+                    pc=instr.pc,
+                    target=dest,
+                )
+            out.append((key, "jump", dest, landed))
+        if falls:
+            out.append((key, "next", instr.next_pc, landed))
+    return out
+
+
 def contributions(
     program: Program, instr: Instruction, pi: AbstractState
 ) -> list[tuple[int, AbstractState]]:
     """(target pc, contributed state) pairs for one instruction.
 
-    Raises UnresolvedJumpError for jumps with untracked targets and
-    InvalidTargetError for tracked destinations that are not jump landings.
+    A move into a new block (see block_exits) opens a fresh entry context
+    there; any other fall-through keeps the entry contexts.
     """
-    spec = instr.spec
-    if spec.halts or not pi:
+    if instr.spec.halts or not pi:
         return []
-    jumpdests = program.jumpdests
-    out: list[tuple[int, AbstractState]] = []
-
-    if spec.is_jump:
-        for _key, member, dests in _jump_members(instr, pi):
-            landed = update_stack(instr, member, jumpdests)
-            for dest in dests:
-                if dest not in jumpdests:
-                    raise InvalidTargetError(
-                        f"jump at pc 0x{instr.pc:x} targets 0x{dest:x},"
-                        f" which is not a jump landing",
-                        pc=instr.pc,
-                        target=dest,
-                    )
-                out.append((dest, idmap(landed)))
-            if spec.byte_value == JUMPI_BYTE and program.has_instruction(instr.next_pc):
-                out.append((instr.next_pc, idmap(landed)))
-        return out
-
+    if instr.spec.is_jump or instr.next_pc in program.jumpdests:
+        return [
+            (target, idmap(landed))
+            for _key, _kind, target, landed in block_exits(program, instr, pi)
+        ]
     if not program.has_instruction(instr.next_pc):
         return []
-    successor = program.instruction_at(instr.next_pc)
-    if successor.spec.byte_value == JUMPDEST_BYTE:
-        for members in pi.values():
-            for member in members:
-                out.append((instr.next_pc, idmap(update_stack(instr, member, jumpdests))))
-        return out
-    out.append((instr.next_pc, transfer(instr, pi, jumpdests)))
-    return out
+    return [(instr.next_pc, transfer(instr, pi, program.jumpdests))]
 
 
 def _solve_worklist(

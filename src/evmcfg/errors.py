@@ -42,12 +42,6 @@ class DecodeError(AnalysisError):
         return out
 
 
-class BlockLookupError(AnalysisError):
-    """Queried pc does not belong to any basic block."""
-
-    kind = "block_lookup_error"
-
-
 class StackArityError(AnalysisError):
     """Stack underflow or overflow while applying an instruction."""
 
@@ -80,18 +74,6 @@ class ReplicaLookupError(AnalysisError):
     """Block replica or entry context lookup failed."""
 
     kind = "replica_lookup_error"
-
-
-class AmbiguousHeightError(AnalysisError):
-    """A context reaches a pc with more than one stack height."""
-
-    kind = "ambiguous_height"
-
-
-class CfgBuildError(AnalysisError):
-    """Internal inconsistency detected while building the graph."""
-
-    kind = "cfg_build_error"
 
 
 class StuckStateError(AnalysisError):

@@ -98,8 +98,6 @@ class Verdict:
     status: str  # pass, fail, or inconclusive
     violations: tuple[Violation, ...]
     coverage: Coverage
-    # Witness walks per trace, populated by check_walk. Not serialized.
-    walks: tuple[tuple[ReplicaId, ...], ...] = ()
 
     @property
     def passed(self) -> bool:
@@ -384,11 +382,9 @@ def check_walk(
         successors.setdefault(a, []).append(b)
 
     violations: list[Violation] = []
-    walks: list[tuple[ReplicaId, ...]] = []
     for trace in traces.traces:
         sequence = [s.pc for s in trace if s.pc in block_starts]
-        walk = _find_walk(cfg, successors, sequence)
-        if walk is None:
+        if not _walk_exists(cfg, successors, sequence):
             rendered = " -> ".join(f"0x{pc:x}" for pc in sequence)
             violations.append(
                 Violation(
@@ -397,40 +393,33 @@ def check_walk(
                     detail=f"no directed walk realizes block sequence {rendered}",
                 )
             )
-        else:
-            walks.append(walk)
     status = "pass" if not violations else "fail"
-    return Verdict(status, tuple(violations), coverage, walks=tuple(walks))
+    return Verdict(status, tuple(violations), coverage)
 
 
-def _find_walk(
+def _walk_exists(
     cfg: Cfg,
     successors: dict[ReplicaId, list[ReplicaId]],
     sequence: list[int],
-) -> tuple[ReplicaId, ...] | None:
-    if not sequence:
-        return None
-    if cfg.entry.block_start != sequence[0]:
-        return None
-    levels: list[set[ReplicaId]] = [{cfg.entry}]
+) -> bool:
+    """Whether some walk from the entry visits the blocks of sequence in order.
+
+    Tracks the set of replicas each prefix can end in; the walk exists iff
+    that set never runs empty.
+    """
+    if not sequence or cfg.entry.block_start != sequence[0]:
+        return False
+    level = {cfg.entry}
     for block in sequence[1:]:
-        nxt = {
+        level = {
             succ
-            for replica in levels[-1]
+            for replica in level
             for succ in successors.get(replica, ())
             if succ.block_start == block
         }
-        if not nxt:
-            return None
-        levels.append(nxt)
-    # Walk backwards picking any consistent predecessor.
-    edges = cfg.jump_edges | cfg.next_edges
-    walk = [min(levels[-1])]
-    for level in reversed(levels[:-1]):
-        previous = min(r for r in level if (r, walk[-1]) in edges)
-        walk.append(previous)
-    walk.reverse()
-    return tuple(walk)
+        if not level:
+            return False
+    return True
 
 
 # ---------------------------------------------------------------------------

@@ -3,10 +3,12 @@
 from __future__ import annotations
 
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import strategies as st
 
+import evmcfg
 from evmcfg import (
     StackState,
     build_cfg,
@@ -23,6 +25,10 @@ SHARED_HEX = "60056010565b600b6010565b00fefefe5b56"
 # two different stack heights: site one pushes only a return address, site
 # two pushes one junk byte underneath.
 TWO_HEIGHT_HEX = "6005600f565b6000600d600f565b005b56"
+
+# Import root of the package under test (src in a checkout, site-packages in
+# an install), for child processes that must import the same copy.
+IMPORT_ROOT = str(Path(evmcfg.__file__).resolve().parent.parent)
 
 DEST_POOL = (0x03, 0x05, 0x0B, 0x10, 0x40, 0x7F)
 

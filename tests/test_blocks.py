@@ -1,14 +1,12 @@
-"""Basic-block partitioning and lookup."""
+"""Basic-block partitioning."""
 
 from __future__ import annotations
 
-import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from evmcfg import decode_bytecode, partition_blocks, block_at
+from evmcfg import decode_bytecode, partition_blocks
 from evmcfg.blocks import Terminator
-from evmcfg.errors import BlockLookupError
 
 from conftest import BRANCH_HEX, LINEAR_HEX, SHARED_HEX
 
@@ -85,21 +83,6 @@ def test_block_body_and_last():
     first = blocks[0]
     assert [i.pc for i in first.body] == [0, 2]
     assert first.last.spec.mnemonic == "JUMP"
-    assert list(first.pcs()) == [0, 2]
-
-
-def test_block_at_lookup():
-    program, blocks, _ = blocks_of(SHARED_HEX)
-    assert block_at(blocks, 0x00).start_pc == 0x00
-    assert block_at(blocks, 0x04).start_pc == 0x00
-    assert block_at(blocks, 0x08).start_pc == 0x05
-    assert block_at(blocks, 0x11).start_pc == 0x10
-    with pytest.raises(BlockLookupError):
-        block_at(blocks, 0x0D)  # unreached filler
-    with pytest.raises(BlockLookupError):
-        block_at(blocks, 0x01)  # inside an immediate
-    with pytest.raises(BlockLookupError):
-        block_at(blocks, 0x40)  # past the code
 
 
 def test_unreached_requires_closed_predecessor():

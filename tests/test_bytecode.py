@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from evmcfg import decode_bytecode, instruction_size, jump_destinations
+from evmcfg import decode_bytecode
 from evmcfg.bytecode import OPCODES
 from evmcfg.errors import DecodeError
 
@@ -29,15 +29,15 @@ def test_push_sizes():
     (push,) = program.instructions
     assert push.spec.mnemonic == "PUSH1"
     assert push.immediate == 0x05
-    assert instruction_size(push) == 2
+    assert push.size == 2
     assert push.next_pc == 2
 
     pop = decode_bytecode("50").instructions[0]
-    assert instruction_size(pop) == 1
+    assert pop.size == 1
 
     push3 = decode_bytecode("62010203").instructions[0]
     assert push3.spec.mnemonic == "PUSH3"
-    assert instruction_size(push3) == 4
+    assert push3.size == 4
     assert push3.immediate == 0x010203
 
 
@@ -45,7 +45,7 @@ def test_linear_decode():
     program = decode_bytecode(LINEAR_HEX)
     got = [(i.pc, i.spec.mnemonic) for i in program.instructions]
     assert got == [(0, "PUSH1"), (2, "JUMP"), (3, "JUMPDEST"), (4, "STOP")]
-    assert jump_destinations(program) == frozenset({0x03})
+    assert program.jumpdests == frozenset({0x03})
 
 
 def test_branch_decode():

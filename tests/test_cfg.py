@@ -8,7 +8,6 @@ import random
 import pytest
 
 from evmcfg import (
-    Cfg,
     ReplicaId,
     build_cfg,
     cfg_from_json,
@@ -17,13 +16,12 @@ from evmcfg import (
     export_json,
     generate_program,
     get_id,
-    get_size,
     get_stack,
     random_shape,
     solve,
 )
 from evmcfg.blocks import Terminator
-from evmcfg.errors import AmbiguousHeightError, CfgBuildError, ReplicaLookupError
+from evmcfg.errors import ReplicaLookupError, UnresolvedJumpError
 
 from conftest import ss
 
@@ -44,7 +42,6 @@ def test_linear_graph(linear):
     assert cfg.jump_edges == edge_set([((0x00, 1), (0x03, 1))])
     assert cfg.next_edges == frozenset()
     assert cfg.entry == rid(0x00, 1)
-    assert cfg.unreachable() == frozenset()
 
 
 def test_branch_graph(branch):
@@ -52,7 +49,6 @@ def test_branch_graph(branch):
     assert cfg.vertices == frozenset({rid(0x00, 1), rid(0x05, 1), rid(0x06, 1)})
     assert cfg.jump_edges == edge_set([((0x00, 1), (0x06, 1))])
     assert cfg.next_edges == edge_set([((0x00, 1), (0x05, 1))])
-    assert cfg.unreachable() == frozenset()
 
 
 def test_shared_graph_splits_the_target(shared):
@@ -70,7 +66,6 @@ def test_shared_graph_splits_the_target(shared):
     )
     assert cfg.next_edges == frozenset()
     assert cfg.entry == rid(0x00, 1)
-    assert cfg.unreachable() == frozenset()
 
 
 def test_two_height_graph(two_height):
@@ -94,6 +89,23 @@ def test_fall_into_landing_produces_dashed_edge():
     cfg = build_cfg(system)
     assert cfg.jump_edges == frozenset()
     assert cfg.next_edges == edge_set([((0x00, 1), (0x02, 1))])
+
+
+def test_jumpi_to_its_own_fallthrough_gives_both_edges():
+    # PUSH1 1; PUSH1 5; JUMPI; JUMPDEST; STOP: both arms land on 0x05.
+    cfg = build_cfg(solve(decode_bytecode("60016005575b00")))
+    assert cfg.vertices == frozenset({rid(0x00, 1), rid(0x05, 1)})
+    assert cfg.jump_edges == edge_set([((0x00, 1), (0x05, 1))])
+    assert cfg.next_edges == edge_set([((0x00, 1), (0x05, 1))])
+
+
+def test_underflow_at_code_end_has_no_exit():
+    # ADD on an empty stack with no successor: no move leaves the block, so
+    # its stack effect is never applied and nothing raises.
+    cfg = build_cfg(solve(decode_bytecode("01")))
+    assert cfg.vertices == frozenset({rid(0x00, 1)})
+    assert cfg.jump_edges == frozenset()
+    assert cfg.next_edges == frozenset()
 
 
 # ----------------------------------------------------------------- accessors
@@ -128,63 +140,11 @@ def test_get_stack_bounds(shared):
         get_stack(0x00, 2, shared.system)
 
 
-def test_get_size_linear(linear):
-    assert get_size(0x00, 1, linear.system) == 0
-    assert get_size(0x02, 1, linear.system) == 1
-    assert get_size(0x03, 1, linear.system) == 0
-    assert get_size(0x04, 1, linear.system) == 0
-
-
-def test_get_size_two_height(two_height):
-    system = two_height.system
-    assert get_size(0x0F, 1, system) == 1
-    assert get_size(0x0F, 2, system) == 2
-    assert get_size(0x10, 1, system) == 1
-    assert get_size(0x10, 2, system) == 2
-    assert get_size(0x0C, 1, system) == 3
-    assert get_size(0x0F, 1, system, all_heights=True) == frozenset({1})
-
-
-def test_get_size_mid_block_pc(shared):
-    # pc inside a block, not at its start
-    assert get_size(0x08, 1, shared.system) == 1
-    assert get_size(0x0A, 1, shared.system) == 2
-    assert get_size(0x11, 2, shared.system) == 1
-
-
-def test_get_size_unreached_context():
-    system = solve(decode_bytecode("6003565b00"))
-    system.vars[0x02].value = {ss(0): frozenset()}
-    with pytest.raises(ReplicaLookupError):
-        get_size(0x02, 1, system)
-
-
-def test_ambiguous_height_raises_without_flag():
-    system = solve(decode_bytecode("6003565b00"))
-    system.vars[0x02].value = {
-        ss(0): frozenset({ss(1, {0: [0x03]}), ss(4, {0: [0x03]})})
-    }
-    with pytest.raises(AmbiguousHeightError):
-        get_size(0x02, 1, system)
-    assert get_size(0x02, 1, system, all_heights=True) == frozenset({1, 4})
-
-
 def test_build_cfg_reports_lost_target():
     system = solve(decode_bytecode("6003565b00"))
     system.vars[0x02].value = {ss(0): frozenset({ss(1)})}
-    with pytest.raises(CfgBuildError):
+    with pytest.raises(UnresolvedJumpError):
         build_cfg(system)
-
-
-def test_unreachable_reports_orphans(linear):
-    orphan = rid(0x40, 1)
-    doctored = Cfg(
-        vertices=linear.cfg.vertices | {orphan},
-        jump_edges=linear.cfg.jump_edges,
-        next_edges=linear.cfg.next_edges,
-        entry=linear.cfg.entry,
-    )
-    assert doctored.unreachable() == frozenset({orphan})
 
 
 def test_replica_names():

@@ -3,12 +3,13 @@
 from __future__ import annotations
 
 import json
+import os
 import subprocess
 import sys
 
-from evmcfg.cli import EXIT_ERROR, EXIT_OK, EXIT_UNSOUND, RunConfig, main, run
+from evmcfg.cli import EXIT_ERROR, EXIT_OK, EXIT_UNSOUND, build_parser, main, run
 
-from conftest import BRANCH_HEX, LINEAR_HEX, SHARED_HEX
+from conftest import BRANCH_HEX, IMPORT_ROOT, LINEAR_HEX, SHARED_HEX
 
 
 def run_main(capsys, *argv):
@@ -64,6 +65,16 @@ def test_file_input(tmp_path, capsys):
     code, out, _ = run_main(capsys, "--file", str(source), "--blocks")
     assert code == EXIT_OK
     assert "block 0x00" in out
+
+
+def test_non_utf8_file_is_io_error(tmp_path, capsys):
+    source = tmp_path / "prog.hex"
+    source.write_bytes(b"\xff\xfe\x00")
+    code, out, err = run_main(capsys, "--file", str(source), "--blocks")
+    assert code == EXIT_ERROR
+    assert out == ""
+    payload = json.loads(err)
+    assert payload["error"]["kind"] == "io_error"
 
 
 def test_missing_file_is_io_error(capsys):
@@ -164,12 +175,11 @@ def test_repeated_runs_byte_identical(tmp_path, capsys):
     assert artifacts[0] == artifacts[1]
 
 
-def test_run_config_direct():
-    config = RunConfig(hex_text=LINEAR_HEX)
-    assert not config.wants_something()
-    config = RunConfig(hex_text=LINEAR_HEX, check=True)
-    assert config.wants_something()
-    assert run(config) == EXIT_OK
+def test_run_config_direct(capsys):
+    parser = build_parser()
+    assert run(parser.parse_args(["--hex", LINEAR_HEX])) == EXIT_ERROR
+    assert run(parser.parse_args(["--hex", LINEAR_HEX, "--check"])) == EXIT_OK
+    capsys.readouterr()
 
 
 def test_subprocess_smoke(tmp_path):
@@ -180,6 +190,7 @@ def test_subprocess_smoke(tmp_path):
         capture_output=True,
         text=True,
         timeout=60,
+        env={**os.environ, "PYTHONPATH": IMPORT_ROOT},
     )
     assert proc.returncode == EXIT_OK, proc.stderr
     assert json.loads(proc.stdout)["verdict"] == "pass"

@@ -6,8 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from evmcfg import StackState, TOP, bottom, idmap, img, join, leq
-from evmcfg.domain import MAX_STACK, is_top, render_abstract
+from evmcfg import StackState, bottom, idmap, img, join, leq
+from evmcfg.domain import MAX_STACK
 
 from conftest import abstract_states, ss, stack_states
 
@@ -111,29 +111,6 @@ def test_leq_examples():
     assert not leq({a: frozenset({b, c})}, {a: frozenset({b})})
     assert not leq({b: frozenset({b})}, {a: frozenset({b})})
     assert leq(bottom(), {a: frozenset({b})})
-
-
-def test_top_absorbs():
-    a = ss(0)
-    pi = idmap(a)
-    assert is_top(TOP)
-    assert not is_top(pi)
-    assert join(TOP, pi) is TOP
-    assert join(pi, TOP) is TOP
-    with pytest.raises(ValueError):
-        img(TOP, a)
-    assert leq(pi, TOP)
-    assert not leq(TOP, pi)
-    assert leq(TOP, TOP)
-    assert "TOP" in render_abstract(TOP)
-
-
-def test_render_abstract_is_sorted_and_total():
-    a, b = ss(2, {1: [0x10]}), ss(1, {0: [0x05]})
-    text = render_abstract({a: frozenset({a}), b: frozenset({b, a})})
-    # lower height printed first
-    assert text.index("<1,") < text.index("<2,")
-    assert render_abstract(bottom()) == "{}"
 
 
 # --------------------------------------------------- randomized lattice laws

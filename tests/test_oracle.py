@@ -191,23 +191,6 @@ def test_checkers_pass_on_fixtures(linear, branch, shared, two_height):
             pipeline.program, pipeline.cfg, pipeline.system, pipeline.traces
         )
         assert walk_check.passed
-        assert len(walk_check.walks) == len(pipeline.traces.traces)
-
-
-def test_shared_witness_walk(shared):
-    verdict = check_walk(shared.program, shared.cfg, shared.system, shared.traces)
-    (walk,) = verdict.walks
-    assert [r.name() for r in walk] == [
-        "B_0x00_1", "B_0x10_1", "B_0x05_1", "B_0x10_2", "B_0x0b_1",
-    ]
-
-
-def test_branch_witness_walks(branch):
-    verdict = check_walk(branch.program, branch.cfg, branch.system, branch.traces)
-    assert [[r.name() for r in w] for w in verdict.walks] == [
-        ["B_0x00_1", "B_0x05_1"],
-        ["B_0x00_1", "B_0x06_1"],
-    ]
 
 
 def test_verdict_json_shape(shared):
