@@ -11,16 +11,7 @@ import argparse
 import sys
 from pathlib import Path
 
-from evmcfg import (
-    build_cfg,
-    check_jumps_to,
-    check_walk,
-    decode_bytecode,
-    enumerate_states,
-    export_dot,
-    export_json,
-    solve,
-)
+from evmcfg import analyze, export_dot, export_json
 
 FIXTURES = {
     "linear": "6003565b00",
@@ -30,10 +21,8 @@ FIXTURES = {
 
 
 def run_one(name: str, hex_text: str, out_dir: Path | None) -> bool:
-    program = decode_bytecode(hex_text)
-    system = solve(program)
-    cfg = build_cfg(system)
-    traces = enumerate_states(program)
+    analysis = analyze(hex_text)
+    system, cfg, traces = analysis.system, analysis.cfg, analysis.traces
 
     print(f"== {name} ({hex_text})")
     for block in system.blocks:
@@ -48,13 +37,11 @@ def run_one(name: str, hex_text: str, out_dir: Path | None) -> bool:
     for a, b in sorted(cfg.next_edges):
         print(f"  {a.name()} -> {b.name()} (fallthrough)")
 
-    state_verdict = check_jumps_to(program, system, traces)
-    walk_verdict = check_walk(program, cfg, system, traces)
     print(
         f"  states={len(traces.states)} transitions={len(traces.transitions)}"
         f" traces={len(traces.traces)}"
     )
-    print(f"  jumps-to: {state_verdict.status}  walk: {walk_verdict.status}")
+    print(f"  jumps-to: {analysis.jumps_to.status}  walk: {analysis.walk.status}")
 
     if out_dir is not None:
         out_dir.mkdir(parents=True, exist_ok=True)
@@ -62,7 +49,7 @@ def run_one(name: str, hex_text: str, out_dir: Path | None) -> bool:
         (out_dir / f"{name}.json").write_text(export_json(cfg, system))
         print(f"  wrote {out_dir}/{name}.dot and .json")
 
-    return state_verdict.passed and walk_verdict.passed
+    return analysis.verdict == "pass"
 
 
 def main() -> int:

@@ -14,15 +14,7 @@ import sys
 import time
 from collections import Counter
 
-from evmcfg import (
-    build_cfg,
-    check_jumps_to,
-    check_walk,
-    enumerate_states,
-    generate_program,
-    random_shape,
-    solve,
-)
+from evmcfg import analyze, generate_program, random_shape
 
 
 def main() -> int:
@@ -47,34 +39,25 @@ def main() -> int:
     for offset in range(args.count):
         seed = args.start_seed + offset
         shape = random_shape(random.Random(seed), max_blocks=args.max_blocks)
-        program = generate_program(seed, shape)
-        system = solve(program)
-        cfg = build_cfg(system)
-        traces = enumerate_states(program)
+        analysis = analyze(generate_program(seed, shape))
 
-        block_counts[len(system.blocks)] += 1
+        block_counts[len(analysis.system.blocks)] += 1
         max_replicas = max(
-            max_replicas, max((r.id for r in cfg.vertices), default=0)
+            max_replicas, max((r.id for r in analysis.cfg.vertices), default=0)
         )
-        total_states += len(traces.states)
+        total_states += len(analysis.traces.states)
 
-        problems = []
-        if traces.truncated:
-            problems.append("state closure truncated")
-        else:
-            for label, verdict in (
-                ("jumps-to", check_jumps_to(program, system, traces)),
-                ("walk", check_walk(program, cfg, system, traces)),
-            ):
-                if not verdict.passed:
-                    problems.append(f"{label}: {verdict.status}")
-                    for violation in verdict.violations:
-                        problems.append(f"  {violation.to_json()}")
-        if problems:
+        if analysis.verdict != "pass":
             failures += 1
             print(f"seed {seed} FAILED")
-            for line in problems:
-                print(f"  {line}")
+            for label, verdict in (
+                ("jumps-to", analysis.jumps_to),
+                ("walk", analysis.walk),
+            ):
+                if not verdict.passed:
+                    print(f"  {label}: {verdict.status}")
+                    for violation in verdict.violations:
+                        print(f"    {violation.to_json()}")
 
         done = offset + 1
         if args.progress_every and done % args.progress_every == 0:

@@ -42,12 +42,14 @@ from .oracle import (
     random_shape,
     step,
 )
+from .pipeline import Analysis, analyze
 from .transfer import transfer, update_stack
 
 __version__ = "0.1.0"
 
 __all__ = [
     "AbstractState",
+    "Analysis",
     "AnalysisError",
     "Block",
     "Cfg",
@@ -62,6 +64,7 @@ __all__ = [
     "Terminator",
     "TraceSet",
     "Verdict",
+    "analyze",
     "bottom",
     "build_cfg",
     "cfg_from_json",

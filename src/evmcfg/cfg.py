@@ -65,29 +65,39 @@ def get_stack(block_start: int, replica: int, system: EquationSystem) -> StackSt
     return contexts[replica - 1]
 
 
+def _replicas(system: EquationSystem) -> dict[ReplicaId, StackState]:
+    """Every replica with its entry context, one sort per block."""
+    return {
+        ReplicaId(block.start_pc, i): s
+        for block in system.blocks
+        for i, s in enumerate(system.entry_contexts(block.start_pc), 1)
+    }
+
+
 def build_cfg(system: EquationSystem) -> Cfg:
     """Expand blocks into per-context replicas and wire the edges."""
-    vertices: list[ReplicaId] = []
+    replicas = _replicas(system)
+    ids = {(r.block_start, s): r for r, s in replicas.items()}
+
+    def replica_id(pc: int, s: StackState) -> ReplicaId:
+        # A pair the system does not number falls back to get_id and its error.
+        return ids.get((pc, s)) or get_id(pc, s, system)
+
     edges: dict[str, list[tuple[ReplicaId, ReplicaId]]] = {"jump": [], "next": []}
     for block in system.blocks:
-        contexts = system.entry_contexts(block.start_pc)
-        vertices.extend(
-            ReplicaId(block.start_pc, i + 1) for i in range(len(contexts))
-        )
-        if not contexts:
+        if not system.state_at(block.start_pc):
             continue  # never entered, no replicas and no edges
         exits = block_exits(system.program, block.last, system.state_at(block.end_pc))
         for context, kind, target, landed in exits:
             edges[kind].append(
-                (get_id(block.start_pc, context, system), get_id(target, landed, system))
+                (replica_id(block.start_pc, context), replica_id(target, landed))
             )
 
-    entry = get_id(0, StackState.make(0), system)
     return Cfg(
-        vertices=frozenset(vertices),
+        vertices=frozenset(replicas),
         jump_edges=frozenset(edges["jump"]),
         next_edges=frozenset(edges["next"]),
-        entry=entry,
+        entry=replica_id(0, StackState.make(0)),
     )
 
 
@@ -137,9 +147,13 @@ def export_json(cfg: Cfg, system: EquationSystem) -> str:
         }
         for b in sorted(system.blocks, key=lambda b: b.start_pc)
     ]
+    replicas = _replicas(system)
     vertices_json = []
     for replica in sorted(cfg.vertices):
-        entry_stack = get_stack(replica.block_start, replica.id, system)
+        # A vertex of another system's graph falls back to get_stack.
+        entry_stack = replicas.get(replica) or get_stack(
+            replica.block_start, replica.id, system
+        )
         vertices_json.append(
             {
                 "block": replica.block_start,

@@ -17,21 +17,22 @@ import sys
 from pathlib import Path
 
 from .blocks import Block
-from .bytecode import decode_bytecode
-from .cfg import build_cfg, export_dot, export_json
-from .equations import solve
+from .cfg import export_dot, export_json
 from .errors import AnalysisError
-from .oracle import (
-    DEFAULT_MAX_STATES,
-    DEFAULT_MAX_STEPS,
-    check_jumps_to,
-    check_walk,
-    enumerate_states,
-)
+from .oracle import DEFAULT_MAX_STATES, DEFAULT_MAX_STEPS
+from .pipeline import analyze
 
 EXIT_OK = 0
 EXIT_ERROR = 1
 EXIT_UNSOUND = 2
+
+
+def positive_int(text: str) -> int:
+    """argparse type for a checker budget: an integer of at least 1."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"invalid positive int value: {text!r}")
+    return value
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -59,13 +60,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--max-steps",
-        type=int,
+        type=positive_int,
         default=DEFAULT_MAX_STEPS,
         help="transition budget for the checker (default %(default)s)",
     )
     parser.add_argument(
         "--max-states",
-        type=int,
+        type=positive_int,
         default=DEFAULT_MAX_STATES,
         help="distinct state budget for the checker (default %(default)s)",
     )
@@ -117,13 +118,19 @@ def run(args: argparse.Namespace) -> int:
 
     trace = (lambda line: print(line, file=sys.stderr)) if args.verbose else None
     try:
-        program = decode_bytecode(hex_text)
-        system = solve(program, mode=args.solver, trace=trace)
-        cfg = build_cfg(system)
+        analysis = analyze(
+            hex_text,
+            check=args.check,
+            solver=args.solver,
+            max_steps=args.max_steps,
+            max_states=args.max_states,
+            trace=trace,
+        )
     except AnalysisError as err:
         return _fail(err.report())
+    system, cfg = analysis.system, analysis.cfg
 
-    for diagnostic in program.diagnostics:
+    for diagnostic in analysis.program.diagnostics:
         print(f"note: {diagnostic}", file=sys.stderr)
 
     if args.blocks:
@@ -142,28 +149,14 @@ def run(args: argparse.Namespace) -> int:
         return _fail({"kind": "io_error", "message": str(err)})
 
     if args.check:
-        try:
-            traces = enumerate_states(
-                program, max_steps=args.max_steps, max_states=args.max_states
-            )
-        except AnalysisError as err:
-            return _fail(err.report())
-        jumps_verdict = check_jumps_to(program, system, traces)
-        walk_verdict = check_walk(program, cfg, system, traces)
-        overall = "pass"
-        for verdict in (jumps_verdict, walk_verdict):
-            if verdict.status == "fail":
-                overall = "fail"
-            elif verdict.status == "inconclusive" and overall == "pass":
-                overall = "inconclusive"
         report = {
-            "verdict": overall,
+            "verdict": analysis.verdict,
             "vertices": len(cfg.vertices),
-            "jumps_to": jumps_verdict.to_json(),
-            "walk": walk_verdict.to_json(),
+            "jumps_to": analysis.jumps_to.to_json(),
+            "walk": analysis.walk.to_json(),
         }
         print(json.dumps(report, sort_keys=True, indent=2))
-        if overall != "pass":
+        if analysis.verdict != "pass":
             return EXIT_UNSOUND
 
     return EXIT_OK

@@ -233,7 +233,7 @@ def enumerate_states(
                 chain.append(parents[chain[-1]])
             err.partial_trace = tuple(reversed(chain))
             raise
-        steps += max(1, len(successors))
+        steps += len(successors)
         if steps > max_steps:
             truncated = True
             break

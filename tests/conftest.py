@@ -9,13 +9,7 @@ import pytest
 from hypothesis import strategies as st
 
 import evmcfg
-from evmcfg import (
-    StackState,
-    build_cfg,
-    decode_bytecode,
-    enumerate_states,
-    solve,
-)
+from evmcfg import Analysis, StackState, analyze
 
 LINEAR_HEX = "6003565b00"
 BRANCH_HEX = "6001600657005b00"
@@ -37,35 +31,24 @@ def ss(n: int, tracked: dict[int, list[int]] | None = None) -> StackState:
     return StackState.make(n, tracked or {})
 
 
-class Pipeline:
-    """Decode/solve/build/enumerate bundle for one program."""
-
-    def __init__(self, hex_text: str):
-        self.hex_text = hex_text
-        self.program = decode_bytecode(hex_text)
-        self.system = solve(self.program)
-        self.cfg = build_cfg(self.system)
-        self.traces = enumerate_states(self.program)
+@pytest.fixture(scope="session")
+def linear() -> Analysis:
+    return analyze(LINEAR_HEX)
 
 
 @pytest.fixture(scope="session")
-def linear() -> Pipeline:
-    return Pipeline(LINEAR_HEX)
+def branch() -> Analysis:
+    return analyze(BRANCH_HEX)
 
 
 @pytest.fixture(scope="session")
-def branch() -> Pipeline:
-    return Pipeline(BRANCH_HEX)
+def shared() -> Analysis:
+    return analyze(SHARED_HEX)
 
 
 @pytest.fixture(scope="session")
-def shared() -> Pipeline:
-    return Pipeline(SHARED_HEX)
-
-
-@pytest.fixture(scope="session")
-def two_height() -> Pipeline:
-    return Pipeline(TWO_HEIGHT_HEX)
+def two_height() -> Analysis:
+    return analyze(TWO_HEIGHT_HEX)
 
 
 def dest_sets() -> st.SearchStrategy:

@@ -18,12 +18,11 @@ import evmcfg
 from evmcfg import (
     Cfg,
     ReplicaId,
-    StackState,
+    analyze,
     build_cfg,
     check_jumps_to,
     check_walk,
     decode_bytecode,
-    enumerate_states,
     generate_program,
     idmap,
     join,
@@ -33,6 +32,7 @@ from evmcfg import (
     verify_fixpoint,
 )
 from evmcfg.blocks import Terminator
+from evmcfg.oracle import _stack_covered
 
 from conftest import (
     BRANCH_HEX,
@@ -202,26 +202,11 @@ def test_acceptance_4_monotone_iterates_and_fixpoint():
 def test_acceptance_5_soundness_campaign():
     started = time.perf_counter()
     for seed in range(1000, 2000):
-        program = generate_program(seed, random_shape(random.Random(seed)))
-        system = solve(program)
-        cfg = build_cfg(system)
-        traces = enumerate_states(program)
-        assert not traces.truncated, f"seed {seed} did not reach closure"
-        state_verdict = check_jumps_to(program, system, traces)
-        assert state_verdict.passed, f"seed {seed}: {state_verdict.violations}"
-        walk_verdict = check_walk(program, cfg, system, traces)
-        assert walk_verdict.passed, f"seed {seed}: {walk_verdict.violations}"
+        analysis = analyze(generate_program(seed, random_shape(random.Random(seed))))
+        assert analysis.verdict == "pass", (
+            f"seed {seed}: {analysis.jumps_to}, {analysis.walk}"
+        )
     report(5, "soundness-campaign", started, budget=300.0)
-
-
-def _covered(concrete: StackState, entry: StackState) -> bool:
-    if concrete.n != entry.n:
-        return False
-    held = entry.tracked()
-    return all(
-        pos in held and set(dests) <= set(held[pos])
-        for pos, dests in concrete.sigma
-    )
 
 
 def _context_mutation(system, traces):
@@ -231,7 +216,9 @@ def _context_mutation(system, traces):
         if state.pc not in block_starts:
             continue
         covering = [
-            key for key in system.state_at(state.pc) if _covered(state.stack, key)
+            key
+            for key in system.state_at(state.pc)
+            if _stack_covered(state.stack, key)
         ]
         if len(covering) == 1:
             return state.pc, covering[0]
@@ -272,13 +259,9 @@ def test_acceptance_6_mutation_sensitivity():
     # so the two mutation kinds are counted independently.
     while (context_trials < 100 or edge_trials < 100) and seed < 5400:
         program = generate_program(seed, random_shape(random.Random(seed)))
-        traces = enumerate_states(program)
-        assert not traces.truncated
-
-        baseline = solve(program)
-        cfg = build_cfg(baseline)
-        assert check_jumps_to(program, baseline, traces).passed
-        assert check_walk(program, cfg, baseline, traces).passed
+        analysis = analyze(program)
+        assert analysis.verdict == "pass"
+        baseline, cfg, traces = analysis.system, analysis.cfg, analysis.traces
 
         if context_trials < 100:
             mutation = _context_mutation(baseline, traces)

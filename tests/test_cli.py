@@ -34,15 +34,66 @@ def test_blocks_listing_reports_filler(capsys):
     assert out.splitlines()[-1] == "unreached: 0xd, 0xe, 0xf"
 
 
+# Byte-exact --check reports: the report bytes are pinned, not just parsed.
+SHARED_REPORT = """\
+{
+  "jumps_to": {
+    "coverage": {
+      "states": 13,
+      "transitions": 12,
+      "truncated": false
+    },
+    "verdict": "pass",
+    "violations": []
+  },
+  "verdict": "pass",
+  "vertices": 5,
+  "walk": {
+    "coverage": {
+      "states": 13,
+      "transitions": 12,
+      "truncated": false
+    },
+    "verdict": "pass",
+    "violations": []
+  }
+}
+"""
+
+LOOP_REPORT = """\
+{
+  "jumps_to": {
+    "coverage": {
+      "states": 5,
+      "transitions": 5,
+      "truncated": true
+    },
+    "verdict": "inconclusive",
+    "violations": []
+  },
+  "verdict": "inconclusive",
+  "vertices": 2,
+  "walk": {
+    "coverage": {
+      "states": 5,
+      "transitions": 5,
+      "truncated": true
+    },
+    "verdict": "inconclusive",
+    "violations": []
+  }
+}
+"""
+
+
 def test_check_pass(capsys):
     code, out, err = run_main(capsys, "--hex", SHARED_HEX, "--check")
-    assert code == EXIT_OK
-    report = json.loads(out)
-    assert report["verdict"] == "pass"
-    assert report["vertices"] == 5
-    assert report["jumps_to"]["coverage"]["states"] == 13
-    assert report["walk"]["verdict"] == "pass"
-    assert err == ""
+    assert (code, out, err) == (EXIT_OK, SHARED_REPORT, "")
+
+
+def test_inconclusive_check_report(capsys):
+    code, out, err = run_main(capsys, "--hex", "5b600160005700", "--check")
+    assert (code, out, err) == (EXIT_UNSOUND, LOOP_REPORT, "")
 
 
 def test_artifacts_written(tmp_path, capsys):
@@ -118,6 +169,30 @@ def test_argparse_usage_errors_remapped(capsys):
     # --hex and --file together
     assert main(["--hex", "00", "--file", "x", "--blocks"]) == EXIT_ERROR
     capsys.readouterr()
+
+
+def test_budgets_must_be_positive(capsys):
+    for argv in (
+        ["--hex", "00", "--check", "--max-steps", "0"],
+        ["--hex", "6003565b00", "--check", "--max-states", "-1"],
+    ):
+        code, out, err = run_main(capsys, *argv)
+        assert code == EXIT_ERROR
+        assert out == ""
+        assert "invalid positive int value" in err
+
+
+def test_check_error_precedes_artifacts(tmp_path, capsys):
+    # ADD on an empty stack at the code end: solve accepts it, the stepper
+    # does not, and nothing is written for a run that ends in an error.
+    js = tmp_path / "g.json"
+    code, out, err = run_main(
+        capsys, "--hex", "01", "--blocks", "--check", "--json", str(js)
+    )
+    assert code == EXIT_ERROR
+    assert out == ""
+    assert json.loads(err)["error"]["kind"] == "stack_arity_error"
+    assert not js.exists()
 
 
 def test_truncated_check_is_unsound_exit(capsys):

@@ -15,6 +15,7 @@ from evmcfg import (
     Cfg,
     ConcreteState,
     ReplicaId,
+    analyze,
     build_cfg,
     check_jumps_to,
     check_walk,
@@ -166,6 +167,14 @@ def test_enumerate_budget_truncates(linear):
     assert traces.truncated
     by_states = enumerate_states(linear.program, max_states=2)
     assert by_states.truncated
+
+
+def test_step_budget_counts_transitions(linear):
+    # 4 states, 3 transitions: a halting state costs nothing.
+    traces = enumerate_states(linear.program, max_steps=3)
+    assert not traces.truncated
+    assert len(traces.transitions) == 3
+    assert not enumerate_states(decode_bytecode("00"), max_steps=1).truncated
 
 
 def test_enumerate_stuck_carries_partial_trace():
@@ -362,12 +371,7 @@ def test_generated_corpus_exercises_replication():
 def test_generated_programs_stay_sound():
     for seed in range(10):
         program = generate_program(seed, random_shape(random.Random(seed)))
-        system = solve(program)
-        cfg = build_cfg(system)
-        traces = enumerate_states(program)
-        assert not traces.truncated
-        assert check_jumps_to(program, system, traces).passed
-        assert check_walk(program, cfg, system, traces).passed
+        assert analyze(program).verdict == "pass"
 
 
 def test_initial_concrete_state():
