@@ -5,8 +5,8 @@ graph), and writes the requested artifacts. With --check it also runs the
 executable-semantics checkers and reports a verdict.
 
 Exit codes: 0 on success, 1 for analysis errors (bad input, unresolved
-jumps) with a JSON report on stderr, 2 when a soundness check does not
-pass, with the verdict JSON on stdout.
+jumps, an exceeded solver budget) with a JSON report on stderr, 2 when a
+soundness check does not pass, with the verdict JSON on stdout.
 """
 
 from __future__ import annotations

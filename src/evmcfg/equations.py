@@ -15,14 +15,22 @@ contribute to their successors as follows:
     keeping entry contexts intact.
   * Halting instructions contribute nothing. An instruction whose successor
     pc falls outside the code also contributes nothing: execution running
-    off the end simply stops.
+    off the end simply stops, after the instruction's stack effect is
+    checked.
 
 The moves into a new block (the first three rules) are block_exits, which
 build_cfg also turns into the graph's edges.
 
-Solving joins contributions until nothing changes. The worklist solver
-revisits only pcs whose inputs grew; the naive solver re-evaluates every
-constraint in rounds and exists to cross-check the worklist result.
+Solving joins contributions until nothing changes. The worklist solver is
+semi-naive: each queued pc holds the facts (entry context, member) it gained
+since it was last popped, and a pop transfers only those, so every fact is
+transferred once. The naive solver re-evaluates every constraint in rounds
+and exists to cross-check the worklist result.
+
+Both solvers stop an input whose entry contexts grow without bound: a block
+may be entered at no more than MAX_ENTRY_HEIGHTS distinct stack heights, and
+a context that would add one more raises BudgetExceededError
+(budget_exceeded) naming the block and the context.
 """
 
 from __future__ import annotations
@@ -34,10 +42,16 @@ from typing import Callable
 from .blocks import Block, partition_blocks
 from .bytecode import Instruction, JUMPI_BYTE, Program
 from .domain import AbstractState, StackState, bottom, idmap, join, leq
-from .errors import AnalysisError, InvalidTargetError, UnresolvedJumpError
+from .errors import (
+    AnalysisError,
+    BudgetExceededError,
+    InvalidTargetError,
+    UnresolvedJumpError,
+)
 from .transfer import transfer, update_stack
 
 __all__ = [
+    "MAX_ENTRY_HEIGHTS",
     "ConstraintVar",
     "EquationSystem",
     "SolveStats",
@@ -48,6 +62,11 @@ __all__ = [
     "initial_state",
     "idmap",
 ]
+
+# Distinct stack heights a block may be entered at. Generated, scaled and
+# solved fuzz programs stay at 15 or fewer; an input whose entry contexts
+# grow by one slot per loop turn reaches it within milliseconds.
+MAX_ENTRY_HEIGHTS = 64
 
 
 @dataclass
@@ -167,46 +186,92 @@ def contributions(
             for _key, _kind, target, landed in block_exits(program, instr, pi)
         ]
     if not program.has_instruction(instr.next_pc):
+        # Running off the end moves nowhere, but the instruction still runs:
+        # each member's stack effect is checked, then dropped.
+        for members in pi.values():
+            for member in members:
+                update_stack(instr, member, program.jumpdests)
         return []
     return [(instr.next_pc, transfer(instr, pi, program.jumpdests))]
+
+
+def _check_entry_heights(
+    pc: int, entered: AbstractState, arriving: AbstractState
+) -> None:
+    """Raise BudgetExceededError if arriving would enter the block at pc at
+    more than MAX_ENTRY_HEIGHTS distinct stack heights."""
+    if len(entered) + len(arriving) <= MAX_ENTRY_HEIGHTS:
+        return
+    heights = {key.n for key in entered}
+    for key in arriving:
+        heights.add(key.n)
+        if len(heights) > MAX_ENTRY_HEIGHTS:
+            raise BudgetExceededError(
+                f"block at pc 0x{pc:x} is already entered at"
+                f" {MAX_ENTRY_HEIGHTS} stack heights; entry context"
+                f" {key.render()} would add another",
+                pc=pc,
+            )
+
+
+def _grow(value: AbstractState, contributed: AbstractState) -> AbstractState:
+    """Add contributed's unseen members to value in place; return them."""
+    gained: AbstractState = {}
+    for key, members in contributed.items():
+        held = value.get(key)
+        if held is None:
+            value[key] = gained[key] = members
+        elif not members <= held:
+            gained[key] = members - held
+            value[key] = held | members
+    return gained
 
 
 def _solve_worklist(
     program: Program,
     vars: dict[int, ConstraintVar],
+    starts: frozenset[int],
     stats: SolveStats,
     record: bool,
     trace: Callable[[str], None] | None,
 ) -> None:
     pending = deque([0])
-    queued = {0}
+    # Facts each queued pc gained since it was last popped. A pc is queued
+    # exactly while it holds a delta.
+    deltas: dict[int, AbstractState] = {0: dict(vars[0].value)}
     while pending:
         pc = pending.popleft()
-        queued.discard(pc)
+        delta = deltas.pop(pc)
         stats.pops += 1
         instr = program.instruction_at(pc)
-        for target, contributed in contributions(program, instr, vars[pc].value):
-            var = vars[target]
-            joined = join(var.value, contributed)
-            if joined != var.value:
-                if record:
-                    stats.updates.append((target, var.value, joined))
-                if trace is not None:
-                    trace(
-                        f"pop pc=0x{pc:x} -> grow 0x{target:x}:"
-                        f" {sum(len(v) for v in var.value.values())} ->"
-                        f" {sum(len(v) for v in joined.values())} members"
-                    )
-                var.value = joined
-                if target not in queued:
-                    pending.append(target)
-                    queued.add(target)
+        for target, contributed in contributions(program, instr, delta):
+            value = vars[target].value
+            if target in starts:
+                _check_entry_heights(target, value, contributed)
+            before = dict(value) if record else None
+            count = sum(len(v) for v in value.values()) if trace is not None else 0
+            gained = _grow(value, contributed)
+            if not gained:
+                continue
+            if record:
+                stats.updates.append((target, before, dict(value)))
+            if trace is not None:
+                trace(
+                    f"pop pc=0x{pc:x} -> grow 0x{target:x}: {count} ->"
+                    f" {count + sum(len(v) for v in gained.values())} members"
+                )
+            if target in deltas:
+                _grow(deltas[target], gained)
+            else:
+                deltas[target] = gained
+                pending.append(target)
     stats.iterations = stats.pops
 
 
 def _solve_naive(
     program: Program,
     vars: dict[int, ConstraintVar],
+    starts: frozenset[int],
     stats: SolveStats,
     record: bool,
     trace: Callable[[str], None] | None,
@@ -219,6 +284,8 @@ def _solve_naive(
             instr = program.instruction_at(pc)
             for target, contributed in contributions(program, instr, snapshot[pc]):
                 held = accumulated.get(target, snapshot[target])
+                if target in starts:
+                    _check_entry_heights(target, held, contributed)
                 accumulated[target] = join(held, contributed)
         changed = False
         for target, value in accumulated.items():
@@ -245,7 +312,8 @@ def solve(
 
     mode selects the worklist solver or the naive round-based one; both
     reach the same fixpoint. record keeps per-update history in solve_stats
-    for monotonicity checks.
+    for monotonicity checks. Raises BudgetExceededError when a block would be
+    entered at more than MAX_ENTRY_HEIGHTS distinct stack heights.
     """
     if not program.instructions:
         raise AnalysisError("program has no instructions")
@@ -261,10 +329,11 @@ def solve(
     if record and mode == "naive":
         stats.snapshots.append({pc: var.value for pc, var in vars.items()})
 
+    starts = frozenset(block.start_pc for block in blocks)
     if mode == "worklist":
-        _solve_worklist(program, vars, stats, record, trace)
+        _solve_worklist(program, vars, starts, stats, record, trace)
     else:
-        _solve_naive(program, vars, stats, record, trace)
+        _solve_naive(program, vars, starts, stats, record, trace)
 
     return EquationSystem(
         program=program,

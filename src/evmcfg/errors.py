@@ -70,6 +70,12 @@ class InvalidTargetError(AnalysisError):
         return out
 
 
+class BudgetExceededError(AnalysisError):
+    """A block would be entered at more stack heights than the solver allows."""
+
+    kind = "budget_exceeded"
+
+
 class ReplicaLookupError(AnalysisError):
     """Block replica or entry context lookup failed."""
 

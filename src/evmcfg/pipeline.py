@@ -47,8 +47,8 @@ def analyze(
 ) -> Analysis:
     """Run the pipeline on a Program or its hex text.
 
-    Raises AnalysisError for bad input, an unresolved jump, or a concrete
-    state the checker cannot step.
+    Raises AnalysisError for bad input, an unresolved jump, an exceeded
+    solver budget, or a concrete state the checker cannot step.
     """
     if isinstance(program, str):
         program = decode_bytecode(program)

@@ -99,10 +99,10 @@ def test_jumpi_to_its_own_fallthrough_gives_both_edges():
     assert cfg.next_edges == edge_set([((0x00, 1), (0x05, 1))])
 
 
-def test_underflow_at_code_end_has_no_exit():
-    # ADD on an empty stack with no successor: no move leaves the block, so
-    # its stack effect is never applied and nothing raises.
-    cfg = build_cfg(solve(decode_bytecode("01")))
+def test_code_end_has_no_exit():
+    # ADD as the last instruction, with two items to add: no move leaves the
+    # block.
+    cfg = build_cfg(solve(decode_bytecode("6001600101")))
     assert cfg.vertices == frozenset({rid(0x00, 1)})
     assert cfg.jump_edges == frozenset()
     assert cfg.next_edges == frozenset()

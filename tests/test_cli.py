@@ -183,8 +183,8 @@ def test_budgets_must_be_positive(capsys):
 
 
 def test_check_error_precedes_artifacts(tmp_path, capsys):
-    # ADD on an empty stack at the code end: solve accepts it, the stepper
-    # does not, and nothing is written for a run that ends in an error.
+    # ADD on an empty stack at the code end: solve rejects it, and nothing
+    # is written for a run that ends in an error.
     js = tmp_path / "g.json"
     code, out, err = run_main(
         capsys, "--hex", "01", "--blocks", "--check", "--json", str(js)
@@ -255,6 +255,22 @@ def test_run_config_direct(capsys):
     assert run(parser.parse_args(["--hex", LINEAR_HEX])) == EXIT_ERROR
     assert run(parser.parse_args(["--hex", LINEAR_HEX, "--check"])) == EXIT_OK
     capsys.readouterr()
+
+
+def test_unbounded_entry_heights_exit_with_budget_error():
+    # JUMPDEST PUSH1 0 PUSH1 0 JUMP: one more stack slot per loop turn. The
+    # timeout turns a hang into a failure instead of a stalled suite.
+    proc = subprocess.run(
+        [sys.executable, "-m", "evmcfg", "--hex", "5b6000600056", "--blocks"],
+        capture_output=True,
+        text=True,
+        timeout=10,
+        env={**os.environ, "PYTHONPATH": IMPORT_ROOT},
+    )
+    assert proc.returncode == EXIT_ERROR
+    assert proc.stdout == ""
+    assert '"kind": "budget_exceeded"' in proc.stderr
+    assert json.loads(proc.stderr)["error"]["pc"] == 0
 
 
 def test_subprocess_smoke(tmp_path):

@@ -7,19 +7,24 @@ exactly, not approximately.
 
 from __future__ import annotations
 
+import sys
+
 import pytest
 
 from evmcfg import (
+    GeneratorShape,
     decode_bytecode,
+    generate_program,
     idmap,
     initial_state,
     leq,
     solve,
     verify_fixpoint,
 )
-from evmcfg.equations import contributions
+from evmcfg.equations import MAX_ENTRY_HEIGHTS, _check_entry_heights, contributions
 from evmcfg.errors import (
     AnalysisError,
+    BudgetExceededError,
     InvalidTargetError,
     StackArityError,
     UnresolvedJumpError,
@@ -215,9 +220,11 @@ def test_unresolved_jump_reports_entry_context():
 
 
 def test_arity_underflow_surfaces():
-    with pytest.raises(StackArityError) as exc:
-        solve(decode_bytecode("0100"))
-    assert exc.value.pc == 0
+    # "01" is ADD as the last byte: running off the end still applies it.
+    for hex_text in ("0100", "01"):
+        with pytest.raises(StackArityError) as exc:
+            solve(decode_bytecode(hex_text))
+        assert exc.value.pc == 0
 
 
 def test_invalid_target_whitebox():
@@ -228,6 +235,39 @@ def test_invalid_target_whitebox():
         contributions(program, jump, pi)
     assert exc.value.target == 0x01
     assert exc.value.pc == 0
+
+
+# Each loop turn enters the block at one stack height more.
+UNBOUNDED_SOURCES = [
+    "5b6000600056",
+    "5b5f600056c091611500575f008091815b81",
+    "600b5b6007600256585b565b",
+    "5b600a60005657296756a0c42e6afa",
+]
+
+
+@pytest.mark.parametrize("mode", ["worklist", "naive"])
+@pytest.mark.parametrize("hex_text", UNBOUNDED_SOURCES)
+def test_unbounded_entry_heights_exceed_budget(hex_text, mode):
+    program = decode_bytecode(hex_text)
+    with pytest.raises(BudgetExceededError) as exc:
+        solve(program, mode=mode)
+    assert exc.value.kind == "budget_exceeded"
+    assert exc.value.pc is not None
+    assert f"block at pc 0x{exc.value.pc:x}" in exc.value.message
+
+
+def test_entry_height_budget_counts_distinct_heights():
+    # more contexts than the budget, at exactly MAX_ENTRY_HEIGHTS heights
+    entered = {ss(n): frozenset({ss(n)}) for n in range(MAX_ENTRY_HEIGHTS)}
+    for n in range(1, 30):
+        entered[ss(n, {0: [0x10]})] = frozenset({ss(n, {0: [0x10]})})
+    # a new shape at a height already entered fits the budget
+    _check_entry_heights(0x10, entered, idmap(ss(3, {1: [0x10]})))
+    with pytest.raises(BudgetExceededError) as exc:
+        _check_entry_heights(0x10, entered, idmap(ss(MAX_ENTRY_HEIGHTS)))
+    assert exc.value.pc == 0x10
+    assert ss(MAX_ENTRY_HEIGHTS).render() in exc.value.message
 
 
 def test_empty_program_rejected():
@@ -303,6 +343,28 @@ def test_trace_callback_fires():
     lines.clear()
     solve(decode_bytecode("6003565b00"), mode="naive", trace=lines.append)
     assert any("round" in line for line in lines)
+
+
+def test_worklist_transfers_each_fact_once(monkeypatch):
+    # update_stack is bound in transfer (used by transfer()) and in
+    # equations (used by block_exits); count calls through both. The modules
+    # come from sys.modules because evmcfg.transfer names the function.
+    original = sys.modules["evmcfg.transfer"].update_stack
+    calls = 0
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return original(*args)
+
+    for module in ("evmcfg.transfer", "evmcfg.equations"):
+        monkeypatch.setattr(sys.modules[module], "update_stack", counted)
+    shape = GeneratorShape(branch_count=50, callee_count=10, sites_per_callee=5)
+    system = solve(generate_program(1, shape))
+    facts = sum(
+        len(members) for var in system.vars.values() for members in var.value.values()
+    )
+    assert 0 < calls <= facts
 
 
 def test_worklist_pops_counted(linear):
