@@ -145,6 +145,9 @@ def _base_table() -> dict[int, OpSpec]:
     for k in range(1, 17):
         b = 0x8F + k
         table[b] = OpSpec(f"SWAP{k}", b, k + 1, k + 1)
+    for k in range(5):
+        b = 0xA0 + k
+        table[b] = OpSpec(f"LOG{k}", b, k + 2, 0)
     return table
 
 OPCODES: dict[int, OpSpec] = _base_table()

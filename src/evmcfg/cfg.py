@@ -10,20 +10,26 @@ Jump edges connect a block ending in JUMP or JUMPI to the replicas of the
 destinations tracked on top of the stack. Next edges cover the fall-through
 of a JUMPI and falling into a JUMPDEST-led block. Both come from
 equations.block_exits, the rule the solver's constraints are built from.
+
+export_json writes the canonical JSON document (format_version 1) directly
+as text for its fixed schema. The bytes equal those of
+json.dumps(document, sort_keys=True, indent=2) plus a newline, without the
+pure-Python encoder that any indent selects. ReplicaId is a NamedTuple, so
+the exports sort vertices and edges with plain tuple comparison.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .domain import StackState
 from .equations import EquationSystem, block_exits
 from .errors import ReplicaLookupError
 
 
-@dataclass(frozen=True, order=True)
-class ReplicaId:
+class ReplicaId(NamedTuple):
     """One vertex: a block start pc plus a 1-based entry context index."""
 
     block_start: int
@@ -119,66 +125,116 @@ def export_dot(cfg: Cfg, system: EquationSystem) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _stack_to_json(s: StackState) -> dict:
-    return {
-        "n": s.n,
-        "sigma": {str(pos): list(dests) for pos, dests in s.sigma},
-    }
+# Templates of the format_version 1 document, laid out as
+# json.dumps(document, sort_keys=True, indent=2) lays it out.
+_DOCUMENT = """\
+{{
+  "blocks": {blocks},
+  "edges": {edges},
+  "entry": {{
+    "block": {entry.block_start},
+    "id": {entry.id}
+  }},
+  "format_version": 1,
+  "program": {{
+    "code_len": {code_len},
+    "jumpdests": {jumpdests},
+    "unreached": {unreached}
+  }},
+  "vertices": {vertices}
+}}
+"""
+_BLOCK = """\
+    {{
+      "end": {},
+      "instructions": [
+        "{}"
+      ],
+      "start": {},
+      "terminator": "{}"
+    }}"""
+_VERTEX = """\
+    {{
+      "block": {},
+      "entry": {{
+        "n": {},
+        "sigma": {}
+      }},
+      "id": {}
+    }}"""
+_EDGE = """\
+    {{
+      "from": {{
+        "block": {},
+        "id": {}
+      }},
+      "kind": "{}",
+      "to": {{
+        "block": {},
+        "id": {}
+      }}
+    }}"""
 
 
-def _edge_to_json(kind: str, edge: tuple[ReplicaId, ReplicaId]) -> dict:
-    a, b = edge
-    return {
-        "kind": kind,
-        "from": {"block": a.block_start, "id": a.id},
-        "to": {"block": b.block_start, "id": b.id},
-    }
+def _list(items: list[str], indent: str) -> str:
+    """A JSON list of laid out items, opened on a line indented by indent."""
+    if not items:
+        return "[]"
+    return "[\n" + ",\n".join(items) + f"\n{indent}]"
+
+
+def _ints(values, indent: str) -> str:
+    return _list([f"{indent}  {v}" for v in values], indent)
+
+
+def _sigma(s: StackState) -> str:
+    """The tracked map of an entry context, opened on _VERTEX's line
+    indented by 8. sort_keys orders the positions as strings: "10" before
+    "2"."""
+    tracked = sorted((str(pos), dests) for pos, dests in s.sigma)
+    if not tracked:
+        return "{}"
+    pad = " " * 10
+    items = [f'{pad}"{pos}": {_ints(dests, pad)}' for pos, dests in tracked]
+    return "{\n" + ",\n".join(items) + "\n        }"
 
 
 def export_json(cfg: Cfg, system: EquationSystem) -> str:
-    """Canonical JSON: sorted keys, fixed ordering, stable across runs."""
+    """Canonical JSON: sorted keys, fixed ordering, stable across runs.
+
+    Every string in the document is an instruction rendering, an edge kind
+    or a terminator name, none of which needs escaping.
+    """
     program = system.program
-    blocks_json = [
-        {
-            "start": b.start_pc,
-            "end": b.end_pc,
-            "terminator": b.terminator.value,
-            "instructions": [ins.render() for ins in b.body],
-        }
+    blocks = [
+        _BLOCK.format(
+            b.end_pc,
+            '",\n        "'.join([ins.render() for ins in b.body]),
+            b.start_pc,
+            b.terminator.value,
+        )
         for b in sorted(system.blocks, key=lambda b: b.start_pc)
     ]
     replicas = _replicas(system)
-    vertices_json = []
-    for replica in sorted(cfg.vertices):
+    vertices = []
+    for r in sorted(cfg.vertices):
         # A vertex of another system's graph falls back to get_stack.
-        entry_stack = replicas.get(replica) or get_stack(
-            replica.block_start, replica.id, system
-        )
-        vertices_json.append(
-            {
-                "block": replica.block_start,
-                "id": replica.id,
-                "entry": _stack_to_json(entry_stack),
-            }
-        )
-    edges_json = [
-        _edge_to_json("jump", e) for e in sorted(cfg.jump_edges)
-    ] + [
-        _edge_to_json("next", e) for e in sorted(cfg.next_edges)
+        s = replicas.get(r) or get_stack(r.block_start, r.id, system)
+        vertices.append(_VERTEX.format(r.block_start, s.n, _sigma(s), r.id))
+    edges = [
+        _EDGE.format(a.block_start, a.id, kind, b.block_start, b.id)
+        for kind, pairs in (("jump", cfg.jump_edges), ("next", cfg.next_edges))
+        for a, b in sorted(pairs)
     ]
-    doc = {
-        "format_version": 1,
-        "program": {
-            "code_len": program.code_len,
-            "jumpdests": sorted(program.jumpdests),
-            "unreached": sorted(system.unreached),
-        },
-        "blocks": blocks_json,
-        "vertices": vertices_json,
-        "edges": edges_json,
-        "entry": {"block": cfg.entry.block_start, "id": cfg.entry.id},
-    }
-    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    return _DOCUMENT.format(
+        blocks=_list(blocks, "  "),
+        edges=_list(edges, "  "),
+        entry=cfg.entry,
+        code_len=program.code_len,
+        jumpdests=_ints(sorted(program.jumpdests), "    "),
+        unreached=_ints(sorted(system.unreached), "    "),
+        vertices=_list(vertices, "  "),
+    )
 
 
 def cfg_from_json(text: str) -> Cfg:

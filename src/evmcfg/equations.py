@@ -24,8 +24,10 @@ build_cfg also turns into the graph's edges.
 Solving joins contributions until nothing changes. The worklist solver is
 semi-naive: each queued pc holds the facts (entry context, member) it gained
 since it was last popped, and a pop transfers only those, so every fact is
-transferred once. The naive solver re-evaluates every constraint in rounds
-and exists to cross-check the worklist result.
+transferred once. The naive solver exists to cross-check the worklist
+result. Each of its rounds sweeps every constraint in pc order, joining each
+contribution into its target at once (Gauss-Seidel), and it stops after a
+round that changes nothing. It keeps no deltas.
 
 Both solvers stop an input whose entry contexts grow without bound: a block
 may be entered at no more than MAX_ENTRY_HEIGHTS distinct stack heights, and
@@ -196,22 +198,21 @@ def contributions(
 
 
 def _check_entry_heights(
-    pc: int, entered: AbstractState, arriving: AbstractState
+    pc: int, heights: set[int], arriving: AbstractState
 ) -> None:
-    """Raise BudgetExceededError if arriving would enter the block at pc at
-    more than MAX_ENTRY_HEIGHTS distinct stack heights."""
-    if len(entered) + len(arriving) <= MAX_ENTRY_HEIGHTS:
-        return
-    heights = {key.n for key in entered}
+    """Add arriving's stack heights to heights, the heights the block at pc
+    is entered at; raise BudgetExceededError at a height past
+    MAX_ENTRY_HEIGHTS."""
     for key in arriving:
-        heights.add(key.n)
-        if len(heights) > MAX_ENTRY_HEIGHTS:
-            raise BudgetExceededError(
-                f"block at pc 0x{pc:x} is already entered at"
-                f" {MAX_ENTRY_HEIGHTS} stack heights; entry context"
-                f" {key.render()} would add another",
-                pc=pc,
-            )
+        if key.n not in heights:
+            if len(heights) == MAX_ENTRY_HEIGHTS:
+                raise BudgetExceededError(
+                    f"block at pc 0x{pc:x} is already entered at"
+                    f" {MAX_ENTRY_HEIGHTS} stack heights; entry context"
+                    f" {key.render()} would add another",
+                    pc=pc,
+                )
+            heights.add(key.n)
 
 
 def _grow(value: AbstractState, contributed: AbstractState) -> AbstractState:
@@ -230,7 +231,7 @@ def _grow(value: AbstractState, contributed: AbstractState) -> AbstractState:
 def _solve_worklist(
     program: Program,
     vars: dict[int, ConstraintVar],
-    starts: frozenset[int],
+    heights: dict[int, set[int]],
     stats: SolveStats,
     record: bool,
     trace: Callable[[str], None] | None,
@@ -246,8 +247,8 @@ def _solve_worklist(
         instr = program.instruction_at(pc)
         for target, contributed in contributions(program, instr, delta):
             value = vars[target].value
-            if target in starts:
-                _check_entry_heights(target, value, contributed)
+            if target in heights:
+                _check_entry_heights(target, heights[target], contributed)
             before = dict(value) if record else None
             count = sum(len(v) for v in value.values()) if trace is not None else 0
             gained = _grow(value, contributed)
@@ -271,27 +272,26 @@ def _solve_worklist(
 def _solve_naive(
     program: Program,
     vars: dict[int, ConstraintVar],
-    starts: frozenset[int],
+    heights: dict[int, set[int]],
     stats: SolveStats,
     record: bool,
     trace: Callable[[str], None] | None,
 ) -> None:
+    pcs = sorted(vars)
     while True:
         stats.iterations += 1
-        snapshot = {pc: var.value for pc, var in vars.items()}
-        accumulated: dict[int, AbstractState] = {}
-        for pc in sorted(snapshot):
-            instr = program.instruction_at(pc)
-            for target, contributed in contributions(program, instr, snapshot[pc]):
-                held = accumulated.get(target, snapshot[target])
-                if target in starts:
-                    _check_entry_heights(target, held, contributed)
-                accumulated[target] = join(held, contributed)
         changed = False
-        for target, value in accumulated.items():
-            if value != vars[target].value:
+        for pc in pcs:
+            instr = program.instruction_at(pc)
+            for target, contributed in contributions(program, instr, vars[pc].value):
+                held = vars[target].value
+                if leq(contributed, held):
+                    continue
+                if target in heights:
+                    _check_entry_heights(target, heights[target], contributed)
+                value = join(held, contributed)
                 if record:
-                    stats.updates.append((target, vars[target].value, value))
+                    stats.updates.append((target, held, value))
                 vars[target].value = value
                 changed = True
         if record:
@@ -310,7 +310,7 @@ def solve(
 ) -> EquationSystem:
     """Compute the least solution of the program's flow constraints.
 
-    mode selects the worklist solver or the naive round-based one; both
+    mode selects the worklist solver or the naive sweeping one; both
     reach the same fixpoint. record keeps per-update history in solve_stats
     for monotonicity checks. Raises BudgetExceededError when a block would be
     entered at more than MAX_ENTRY_HEIGHTS distinct stack heights.
@@ -329,11 +329,12 @@ def solve(
     if record and mode == "naive":
         stats.snapshots.append({pc: var.value for pc, var in vars.items()})
 
-    starts = frozenset(block.start_pc for block in blocks)
+    # Stack heights each block is entered at, kept as contexts arrive.
+    heights = {b.start_pc: {s.n for s in vars[b.start_pc].value} for b in blocks}
     if mode == "worklist":
-        _solve_worklist(program, vars, starts, stats, record, trace)
+        _solve_worklist(program, vars, heights, stats, record, trace)
     else:
-        _solve_naive(program, vars, starts, stats, record, trace)
+        _solve_naive(program, vars, heights, stats, record, trace)
 
     return EquationSystem(
         program=program,

@@ -184,3 +184,170 @@ def test_jumpdests_match_decoded_stream(raw: bytes):
         ins.pc for ins in program.instructions if ins.spec.mnemonic == "JUMPDEST"
     }
     assert program.jumpdests == frozenset(from_stream)
+
+
+# Every defined opcode as (byte, mnemonic, items popped δ, items pushed α),
+# typed from the Yellow Paper (Wood), Appendix H, and the EIPs that added
+# SHL/SHR/SAR (145), EXTCODEHASH (1052), CHAINID and SELFBALANCE (1344,
+# 1884), BASEFEE (3198), PREVRANDAO (4399), PUSH0 (3855), and for Cancun
+# TLOAD/TSTORE (1153), MCOPY (5656), BLOBHASH (4844) and BLOBBASEFEE (7516).
+# The analysis and the reference stepper both read arities from OPCODES, so
+# only an independent copy can catch a wrong one.
+ARITIES = [
+    (0x00, "STOP", 0, 0),
+    (0x01, "ADD", 2, 1),
+    (0x02, "MUL", 2, 1),
+    (0x03, "SUB", 2, 1),
+    (0x04, "DIV", 2, 1),
+    (0x05, "SDIV", 2, 1),
+    (0x06, "MOD", 2, 1),
+    (0x07, "SMOD", 2, 1),
+    (0x08, "ADDMOD", 3, 1),
+    (0x09, "MULMOD", 3, 1),
+    (0x0A, "EXP", 2, 1),
+    (0x0B, "SIGNEXTEND", 2, 1),
+    (0x10, "LT", 2, 1),
+    (0x11, "GT", 2, 1),
+    (0x12, "SLT", 2, 1),
+    (0x13, "SGT", 2, 1),
+    (0x14, "EQ", 2, 1),
+    (0x15, "ISZERO", 1, 1),
+    (0x16, "AND", 2, 1),
+    (0x17, "OR", 2, 1),
+    (0x18, "XOR", 2, 1),
+    (0x19, "NOT", 1, 1),
+    (0x1A, "BYTE", 2, 1),
+    (0x1B, "SHL", 2, 1),
+    (0x1C, "SHR", 2, 1),
+    (0x1D, "SAR", 2, 1),
+    (0x20, "KECCAK256", 2, 1),
+    (0x30, "ADDRESS", 0, 1),
+    (0x31, "BALANCE", 1, 1),
+    (0x32, "ORIGIN", 0, 1),
+    (0x33, "CALLER", 0, 1),
+    (0x34, "CALLVALUE", 0, 1),
+    (0x35, "CALLDATALOAD", 1, 1),
+    (0x36, "CALLDATASIZE", 0, 1),
+    (0x37, "CALLDATACOPY", 3, 0),
+    (0x38, "CODESIZE", 0, 1),
+    (0x39, "CODECOPY", 3, 0),
+    (0x3A, "GASPRICE", 0, 1),
+    (0x3B, "EXTCODESIZE", 1, 1),
+    (0x3C, "EXTCODECOPY", 4, 0),
+    (0x3D, "RETURNDATASIZE", 0, 1),
+    (0x3E, "RETURNDATACOPY", 3, 0),
+    (0x3F, "EXTCODEHASH", 1, 1),
+    (0x40, "BLOCKHASH", 1, 1),
+    (0x41, "COINBASE", 0, 1),
+    (0x42, "TIMESTAMP", 0, 1),
+    (0x43, "NUMBER", 0, 1),
+    (0x44, "PREVRANDAO", 0, 1),
+    (0x45, "GASLIMIT", 0, 1),
+    (0x46, "CHAINID", 0, 1),
+    (0x47, "SELFBALANCE", 0, 1),
+    (0x48, "BASEFEE", 0, 1),
+    (0x49, "BLOBHASH", 1, 1),
+    (0x4A, "BLOBBASEFEE", 0, 1),
+    (0x50, "POP", 1, 0),
+    (0x51, "MLOAD", 1, 1),
+    (0x52, "MSTORE", 2, 0),
+    (0x53, "MSTORE8", 2, 0),
+    (0x54, "SLOAD", 1, 1),
+    (0x55, "SSTORE", 2, 0),
+    (0x56, "JUMP", 1, 0),
+    (0x57, "JUMPI", 2, 0),
+    (0x58, "PC", 0, 1),
+    (0x59, "MSIZE", 0, 1),
+    (0x5A, "GAS", 0, 1),
+    (0x5B, "JUMPDEST", 0, 0),
+    (0x5C, "TLOAD", 1, 1),
+    (0x5D, "TSTORE", 2, 0),
+    (0x5E, "MCOPY", 3, 0),
+    (0x5F, "PUSH0", 0, 1),
+    (0x60, "PUSH1", 0, 1),
+    (0x61, "PUSH2", 0, 1),
+    (0x62, "PUSH3", 0, 1),
+    (0x63, "PUSH4", 0, 1),
+    (0x64, "PUSH5", 0, 1),
+    (0x65, "PUSH6", 0, 1),
+    (0x66, "PUSH7", 0, 1),
+    (0x67, "PUSH8", 0, 1),
+    (0x68, "PUSH9", 0, 1),
+    (0x69, "PUSH10", 0, 1),
+    (0x6A, "PUSH11", 0, 1),
+    (0x6B, "PUSH12", 0, 1),
+    (0x6C, "PUSH13", 0, 1),
+    (0x6D, "PUSH14", 0, 1),
+    (0x6E, "PUSH15", 0, 1),
+    (0x6F, "PUSH16", 0, 1),
+    (0x70, "PUSH17", 0, 1),
+    (0x71, "PUSH18", 0, 1),
+    (0x72, "PUSH19", 0, 1),
+    (0x73, "PUSH20", 0, 1),
+    (0x74, "PUSH21", 0, 1),
+    (0x75, "PUSH22", 0, 1),
+    (0x76, "PUSH23", 0, 1),
+    (0x77, "PUSH24", 0, 1),
+    (0x78, "PUSH25", 0, 1),
+    (0x79, "PUSH26", 0, 1),
+    (0x7A, "PUSH27", 0, 1),
+    (0x7B, "PUSH28", 0, 1),
+    (0x7C, "PUSH29", 0, 1),
+    (0x7D, "PUSH30", 0, 1),
+    (0x7E, "PUSH31", 0, 1),
+    (0x7F, "PUSH32", 0, 1),
+    (0x80, "DUP1", 1, 2),
+    (0x81, "DUP2", 2, 3),
+    (0x82, "DUP3", 3, 4),
+    (0x83, "DUP4", 4, 5),
+    (0x84, "DUP5", 5, 6),
+    (0x85, "DUP6", 6, 7),
+    (0x86, "DUP7", 7, 8),
+    (0x87, "DUP8", 8, 9),
+    (0x88, "DUP9", 9, 10),
+    (0x89, "DUP10", 10, 11),
+    (0x8A, "DUP11", 11, 12),
+    (0x8B, "DUP12", 12, 13),
+    (0x8C, "DUP13", 13, 14),
+    (0x8D, "DUP14", 14, 15),
+    (0x8E, "DUP15", 15, 16),
+    (0x8F, "DUP16", 16, 17),
+    (0x90, "SWAP1", 2, 2),
+    (0x91, "SWAP2", 3, 3),
+    (0x92, "SWAP3", 4, 4),
+    (0x93, "SWAP4", 5, 5),
+    (0x94, "SWAP5", 6, 6),
+    (0x95, "SWAP6", 7, 7),
+    (0x96, "SWAP7", 8, 8),
+    (0x97, "SWAP8", 9, 9),
+    (0x98, "SWAP9", 10, 10),
+    (0x99, "SWAP10", 11, 11),
+    (0x9A, "SWAP11", 12, 12),
+    (0x9B, "SWAP12", 13, 13),
+    (0x9C, "SWAP13", 14, 14),
+    (0x9D, "SWAP14", 15, 15),
+    (0x9E, "SWAP15", 16, 16),
+    (0x9F, "SWAP16", 17, 17),
+    (0xA0, "LOG0", 2, 0),
+    (0xA1, "LOG1", 3, 0),
+    (0xA2, "LOG2", 4, 0),
+    (0xA3, "LOG3", 5, 0),
+    (0xA4, "LOG4", 6, 0),
+    (0xF0, "CREATE", 3, 1),
+    (0xF1, "CALL", 7, 1),
+    (0xF2, "CALLCODE", 7, 1),
+    (0xF3, "RETURN", 2, 0),
+    (0xF4, "DELEGATECALL", 6, 1),
+    (0xF5, "CREATE2", 4, 1),
+    (0xFA, "STATICCALL", 6, 1),
+    (0xFD, "REVERT", 2, 0),
+    (0xFE, "INVALID", 0, 0),
+    (0xFF, "SELFDESTRUCT", 1, 0),
+]
+
+
+def test_opcode_arities_match_the_specification():
+    table = {
+        byte: (spec.mnemonic, spec.delta, spec.alpha) for byte, spec in OPCODES.items()
+    }
+    assert table == {byte: (name, d, a) for byte, name, d, a in ARITIES}

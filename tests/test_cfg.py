@@ -21,9 +21,9 @@ from evmcfg import (
     solve,
 )
 from evmcfg.blocks import Terminator
-from evmcfg.errors import ReplicaLookupError, UnresolvedJumpError
+from evmcfg.errors import AnalysisError, ReplicaLookupError, UnresolvedJumpError
 
-from conftest import ss
+from conftest import BRANCH_HEX, LINEAR_HEX, SHARED_HEX, TWO_HEIGHT_HEX, ss
 
 
 def rid(block_start: int, id: int) -> ReplicaId:
@@ -267,3 +267,158 @@ def test_generated_graph_invariants():
 
         text = export_json(cfg, system)
         assert cfg_from_json(text) == cfg
+
+
+# ------------------------------------------------- export_json byte equality
+
+# The json.dumps-based export_json that the direct writer replaced, kept
+# verbatim as the reference for the writer's bytes.
+
+def _ref_replicas(system):
+    return {
+        ReplicaId(block.start_pc, i): s
+        for block in system.blocks
+        for i, s in enumerate(system.entry_contexts(block.start_pc), 1)
+    }
+
+
+def _ref_stack_to_json(s):
+    return {
+        "n": s.n,
+        "sigma": {str(pos): list(dests) for pos, dests in s.sigma},
+    }
+
+
+def _ref_edge_to_json(kind, edge):
+    a, b = edge
+    return {
+        "kind": kind,
+        "from": {"block": a.block_start, "id": a.id},
+        "to": {"block": b.block_start, "id": b.id},
+    }
+
+
+def reference_export_json(cfg, system):
+    program = system.program
+    blocks_json = [
+        {
+            "start": b.start_pc,
+            "end": b.end_pc,
+            "terminator": b.terminator.value,
+            "instructions": [ins.render() for ins in b.body],
+        }
+        for b in sorted(system.blocks, key=lambda b: b.start_pc)
+    ]
+    replicas = _ref_replicas(system)
+    vertices_json = []
+    for replica in sorted(cfg.vertices):
+        entry_stack = replicas.get(replica) or get_stack(
+            replica.block_start, replica.id, system
+        )
+        vertices_json.append(
+            {
+                "block": replica.block_start,
+                "id": replica.id,
+                "entry": _ref_stack_to_json(entry_stack),
+            }
+        )
+    edges_json = [
+        _ref_edge_to_json("jump", e) for e in sorted(cfg.jump_edges)
+    ] + [
+        _ref_edge_to_json("next", e) for e in sorted(cfg.next_edges)
+    ]
+    doc = {
+        "format_version": 1,
+        "program": {
+            "code_len": program.code_len,
+            "jumpdests": sorted(program.jumpdests),
+            "unreached": sorted(system.unreached),
+        },
+        "blocks": blocks_json,
+        "vertices": vertices_json,
+        "edges": edges_json,
+        "entry": {"block": cfg.entry.block_start, "id": cfg.entry.id},
+    }
+    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+
+
+def assert_same_json(system):
+    cfg = build_cfg(system)
+    text = export_json(cfg, system)
+    assert text == reference_export_json(cfg, system)
+    return text
+
+
+# Entry context at 0x19 tracks positions 2 and 10: PUSH1 0 twice, PUSH1 0x19,
+# PUSH1 0 seven times, PUSH1 0x19 twice, JUMP, JUMPDEST, STOP.
+POSITIONS_2_AND_10_HEX = "600060006019" + "6000" * 7 + "60196019565b00"
+
+
+@pytest.mark.parametrize(
+    "hex_text",
+    [
+        LINEAR_HEX,
+        BRANCH_HEX,
+        SHARED_HEX,
+        TWO_HEIGHT_HEX,
+        "00",  # one block, no edges
+        "0c",  # an UNKNOWN byte
+        "60015b0c00",  # falls into a JUMPDEST, then an UNKNOWN byte
+        POSITIONS_2_AND_10_HEX,
+    ],
+)
+def test_json_writer_matches_json_dumps_on_fixtures(hex_text):
+    assert_same_json(solve(decode_bytecode(hex_text)))
+
+
+def test_json_writer_orders_sigma_keys_as_strings():
+    text = assert_same_json(solve(decode_bytecode(POSITIONS_2_AND_10_HEX)))
+    entry = json.loads(text)["vertices"][-1]["entry"]
+    assert entry == {"n": 11, "sigma": {"2": [0x19], "10": [0x19]}}
+    assert text.index('"10": [') < text.index('"2": [')
+
+
+def test_json_writer_empty_lists_and_maps(linear):
+    text = assert_same_json(linear.system)
+    assert '"sigma": {}' in text
+    assert '"unreached": []' in text
+    assert '"edges": []' in assert_same_json(solve(decode_bytecode("00")))
+
+
+def test_json_writer_matches_json_dumps_on_generated_programs():
+    rng = random.Random(0x150)
+    for _ in range(200):
+        seed = rng.getrandbits(32)
+        assert_same_json(solve(generate_program(seed, random_shape(random.Random(seed)))))
+
+
+def _jump_biased_bytes(rng: random.Random) -> str:
+    """1-64 random bytes, biased to JUMPDEST, JUMP, JUMPI and PUSH1 of an
+    in-range pc."""
+    length = rng.randint(1, 64)
+    out = bytearray()
+    while len(out) < length:
+        draw = rng.random()
+        if draw < 0.12:
+            out.append(0x5B)
+        elif draw < 0.20:
+            out.append(0x56)
+        elif draw < 0.28:
+            out.append(0x57)
+        elif draw < 0.45:
+            out += bytes((0x60, rng.randrange(length)))
+        else:
+            out.append(rng.randrange(256))
+    return bytes(out[:length]).hex()
+
+
+def test_json_writer_matches_json_dumps_on_random_inputs():
+    rng = random.Random(0x1D)
+    accepted = 0
+    while accepted < 2000:
+        try:
+            system = solve(decode_bytecode(_jump_biased_bytes(rng)))
+        except AnalysisError:
+            continue
+        assert_same_json(system)
+        accepted += 1

@@ -262,10 +262,11 @@ def test_entry_height_budget_counts_distinct_heights():
     entered = {ss(n): frozenset({ss(n)}) for n in range(MAX_ENTRY_HEIGHTS)}
     for n in range(1, 30):
         entered[ss(n, {0: [0x10]})] = frozenset({ss(n, {0: [0x10]})})
+    heights = {key.n for key in entered}
     # a new shape at a height already entered fits the budget
-    _check_entry_heights(0x10, entered, idmap(ss(3, {1: [0x10]})))
+    _check_entry_heights(0x10, heights, idmap(ss(3, {1: [0x10]})))
     with pytest.raises(BudgetExceededError) as exc:
-        _check_entry_heights(0x10, entered, idmap(ss(MAX_ENTRY_HEIGHTS)))
+        _check_entry_heights(0x10, heights, idmap(ss(MAX_ENTRY_HEIGHTS)))
     assert exc.value.pc == 0x10
     assert ss(MAX_ENTRY_HEIGHTS).render() in exc.value.message
 
