@@ -9,16 +9,7 @@ enumerating concrete runs and comparing them against the static answer.
 
 from .blocks import Block, Terminator, partition_blocks
 from .bytecode import Instruction, OpSpec, Program, decode_bytecode
-from .cfg import (
-    Cfg,
-    ReplicaId,
-    build_cfg,
-    cfg_from_json,
-    export_dot,
-    export_json,
-    get_id,
-    get_stack,
-)
+from .cfg import Cfg, ReplicaId, build_cfg, cfg_from_json, export_dot, export_json
 from .domain import (
     AbstractState,
     StackState,
@@ -75,8 +66,6 @@ __all__ = [
     "export_dot",
     "export_json",
     "generate_program",
-    "get_id",
-    "get_stack",
     "idmap",
     "img",
     "initial_state",

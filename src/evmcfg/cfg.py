@@ -4,7 +4,13 @@ Each block appears once per entry context that reaches it, so a shared
 snippet entered with different return addresses on the stack becomes
 several graph vertices, one per caller. Replica ids are dense, start at 1,
 and follow the canonical order of the entry contexts (height first, then
-the tracked map), which makes ids independent of solver visit order.
+the tracked map, as EquationSystem.entry_contexts sorts them), which makes
+ids independent of solver visit order.
+
+build_cfg numbers the contexts once: Cfg.vertices maps each replica id to
+the entry context it stands for, and both exports read contexts from it.
+The inverse map, (block, context) to id, lives only in build_cfg, which
+wires the edges with it.
 
 Jump edges connect a block ending in JUMP or JUMPI to the replicas of the
 destinations tracked on top of the stack. Next edges cover the fall-through
@@ -26,7 +32,6 @@ from typing import NamedTuple
 
 from .domain import StackState
 from .equations import EquationSystem, block_exits
-from .errors import ReplicaLookupError
 
 
 class ReplicaId(NamedTuple):
@@ -41,53 +46,22 @@ class ReplicaId(NamedTuple):
 
 @dataclass(frozen=True)
 class Cfg:
-    vertices: frozenset[ReplicaId]
+    """The replica graph. vertices maps each replica to its entry context."""
+
+    vertices: dict[ReplicaId, StackState]
     jump_edges: frozenset[tuple[ReplicaId, ReplicaId]]
     next_edges: frozenset[tuple[ReplicaId, ReplicaId]]
     entry: ReplicaId
 
 
-def get_id(block_start: int, s: StackState, system: EquationSystem) -> ReplicaId:
-    """Replica id for one entry context of the block starting at block_start."""
-    contexts = system.entry_contexts(block_start)
-    try:
-        return ReplicaId(block_start, contexts.index(s) + 1)
-    except ValueError:
-        raise ReplicaLookupError(
-            f"context {s.render()} does not enter block 0x{block_start:x}",
-            pc=block_start,
-        ) from None
-
-
-def get_stack(block_start: int, replica: int, system: EquationSystem) -> StackState:
-    """Inverse of get_id: the entry context behind a replica id."""
-    contexts = system.entry_contexts(block_start)
-    if not 1 <= replica <= len(contexts):
-        raise ReplicaLookupError(
-            f"block 0x{block_start:x} has {len(contexts)} replicas,"
-            f" id {replica} does not exist",
-            pc=block_start,
-        )
-    return contexts[replica - 1]
-
-
-def _replicas(system: EquationSystem) -> dict[ReplicaId, StackState]:
-    """Every replica with its entry context, one sort per block."""
-    return {
+def build_cfg(system: EquationSystem) -> Cfg:
+    """Number each block's entry contexts, then wire the edges."""
+    vertices = {
         ReplicaId(block.start_pc, i): s
         for block in system.blocks
         for i, s in enumerate(system.entry_contexts(block.start_pc), 1)
     }
-
-
-def build_cfg(system: EquationSystem) -> Cfg:
-    """Expand blocks into per-context replicas and wire the edges."""
-    replicas = _replicas(system)
-    ids = {(r.block_start, s): r for r, s in replicas.items()}
-
-    def replica_id(pc: int, s: StackState) -> ReplicaId:
-        # A pair the system does not number falls back to get_id and its error.
-        return ids.get((pc, s)) or get_id(pc, s, system)
+    ids = {(r.block_start, s): r for r, s in vertices.items()}
 
     edges: dict[str, list[tuple[ReplicaId, ReplicaId]]] = {"jump": [], "next": []}
     for block in system.blocks:
@@ -95,15 +69,13 @@ def build_cfg(system: EquationSystem) -> Cfg:
             continue  # never entered, no replicas and no edges
         exits = block_exits(system.program, block.last, system.state_at(block.end_pc))
         for context, kind, target, landed in exits:
-            edges[kind].append(
-                (replica_id(block.start_pc, context), replica_id(target, landed))
-            )
+            edges[kind].append((ids[block.start_pc, context], ids[target, landed]))
 
     return Cfg(
-        vertices=frozenset(replicas),
+        vertices=vertices,
         jump_edges=frozenset(edges["jump"]),
         next_edges=frozenset(edges["next"]),
-        entry=replica_id(0, StackState.make(0)),
+        entry=ids[0, StackState.make(0)],
     )
 
 
@@ -215,12 +187,10 @@ def export_json(cfg: Cfg, system: EquationSystem) -> str:
         )
         for b in sorted(system.blocks, key=lambda b: b.start_pc)
     ]
-    replicas = _replicas(system)
-    vertices = []
-    for r in sorted(cfg.vertices):
-        # A vertex of another system's graph falls back to get_stack.
-        s = replicas.get(r) or get_stack(r.block_start, r.id, system)
-        vertices.append(_VERTEX.format(r.block_start, s.n, _sigma(s), r.id))
+    vertices = [
+        _VERTEX.format(r.block_start, s.n, _sigma(s), r.id)
+        for r, s in sorted(cfg.vertices.items())
+    ]
     edges = [
         _EDGE.format(a.block_start, a.id, kind, b.block_start, b.id)
         for kind, pairs in (("jump", cfg.jump_edges), ("next", cfg.next_edges))
@@ -238,13 +208,17 @@ def export_json(cfg: Cfg, system: EquationSystem) -> str:
 
 
 def cfg_from_json(text: str) -> Cfg:
-    """Rebuild the graph part of an exported document."""
+    """Rebuild the graph of an exported document, entry contexts included."""
     doc = json.loads(text)
     if doc.get("format_version") != 1:
         raise ValueError("unsupported format_version")
-    vertices = frozenset(
-        ReplicaId(v["block"], v["id"]) for v in doc["vertices"]
-    )
+    vertices = {
+        ReplicaId(v["block"], v["id"]): StackState.make(
+            v["entry"]["n"],
+            {int(pos): dests for pos, dests in v["entry"]["sigma"].items()},
+        )
+        for v in doc["vertices"]
+    }
     jump_edges = set()
     next_edges = set()
     for e in doc["edges"]:

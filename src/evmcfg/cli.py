@@ -19,7 +19,7 @@ from pathlib import Path
 from .blocks import Block
 from .cfg import export_dot, export_json
 from .errors import AnalysisError
-from .oracle import DEFAULT_MAX_STATES, DEFAULT_MAX_STEPS
+from .oracle import DEFAULT_MAX_STEPS
 from .pipeline import analyze
 
 EXIT_OK = 0
@@ -63,12 +63,6 @@ def build_parser() -> argparse.ArgumentParser:
         type=positive_int,
         default=DEFAULT_MAX_STEPS,
         help="transition budget for the checker (default %(default)s)",
-    )
-    parser.add_argument(
-        "--max-states",
-        type=positive_int,
-        default=DEFAULT_MAX_STATES,
-        help="distinct state budget for the checker (default %(default)s)",
     )
     parser.add_argument(
         "--solver",
@@ -123,7 +117,6 @@ def run(args: argparse.Namespace) -> int:
             check=args.check,
             solver=args.solver,
             max_steps=args.max_steps,
-            max_states=args.max_states,
             trace=trace,
         )
     except AnalysisError as err:

@@ -29,10 +29,13 @@ result. Each of its rounds sweeps every constraint in pc order, joining each
 contribution into its target at once (Gauss-Seidel), and it stops after a
 round that changes nothing. It keeps no deltas.
 
-Both solvers stop an input whose entry contexts grow without bound: a block
-may be entered at no more than MAX_ENTRY_HEIGHTS distinct stack heights, and
-a context that would add one more raises BudgetExceededError
-(budget_exceeded) naming the block and the context.
+Both solvers stop an input whose entry contexts grow without bound. A block
+may be entered at no more than MAX_ENTRY_HEIGHTS distinct stack heights and
+with no more than MAX_ENTRY_CONTEXTS entry contexts; a context that would
+pass either raises BudgetExceededError (budget_exceeded) naming the block
+and the context. A stack that grows on every loop turn trips the height
+budget within milliseconds. Return addresses permuted at one height add no
+height, and only the context budget stops them.
 """
 
 from __future__ import annotations
@@ -53,6 +56,7 @@ from .errors import (
 from .transfer import transfer, update_stack
 
 __all__ = [
+    "MAX_ENTRY_CONTEXTS",
     "MAX_ENTRY_HEIGHTS",
     "ConstraintVar",
     "EquationSystem",
@@ -69,6 +73,9 @@ __all__ = [
 # solved fuzz programs stay at 15 or fewer; an input whose entry contexts
 # grow by one slot per loop turn reaches it within milliseconds.
 MAX_ENTRY_HEIGHTS = 64
+# Entry contexts a block may be entered with: the scaled programs of
+# generator seeds 1 and 3 reach 100 and 220, solved fuzz inputs 2.
+MAX_ENTRY_CONTEXTS = 512
 
 
 @dataclass
@@ -197,13 +204,16 @@ def contributions(
     return [(instr.next_pc, transfer(instr, pi, program.jumpdests))]
 
 
-def _check_entry_heights(
-    pc: int, heights: set[int], arriving: AbstractState
+def _check_entry_budget(
+    pc: int, heights: set[int], held: AbstractState, arriving: AbstractState
 ) -> None:
-    """Add arriving's stack heights to heights, the heights the block at pc
-    is entered at; raise BudgetExceededError at a height past
-    MAX_ENTRY_HEIGHTS."""
+    """Check arriving's new entry contexts against the budgets of the block
+    at pc, entered with held at the heights in heights (kept up to date);
+    raise BudgetExceededError past either budget."""
+    contexts = len(held)
     for key in arriving:
+        if key in held:
+            continue
         if key.n not in heights:
             if len(heights) == MAX_ENTRY_HEIGHTS:
                 raise BudgetExceededError(
@@ -213,6 +223,14 @@ def _check_entry_heights(
                     pc=pc,
                 )
             heights.add(key.n)
+        if contexts == MAX_ENTRY_CONTEXTS:
+            raise BudgetExceededError(
+                f"block at pc 0x{pc:x} is already entered with"
+                f" {MAX_ENTRY_CONTEXTS} entry contexts; entry context"
+                f" {key.render()} would add another",
+                pc=pc,
+            )
+        contexts += 1
 
 
 def _grow(value: AbstractState, contributed: AbstractState) -> AbstractState:
@@ -248,7 +266,7 @@ def _solve_worklist(
         for target, contributed in contributions(program, instr, delta):
             value = vars[target].value
             if target in heights:
-                _check_entry_heights(target, heights[target], contributed)
+                _check_entry_budget(target, heights[target], value, contributed)
             before = dict(value) if record else None
             count = sum(len(v) for v in value.values()) if trace is not None else 0
             gained = _grow(value, contributed)
@@ -288,7 +306,7 @@ def _solve_naive(
                 if leq(contributed, held):
                     continue
                 if target in heights:
-                    _check_entry_heights(target, heights[target], contributed)
+                    _check_entry_budget(target, heights[target], held, contributed)
                 value = join(held, contributed)
                 if record:
                     stats.updates.append((target, held, value))
@@ -313,7 +331,8 @@ def solve(
     mode selects the worklist solver or the naive sweeping one; both
     reach the same fixpoint. record keeps per-update history in solve_stats
     for monotonicity checks. Raises BudgetExceededError when a block would be
-    entered at more than MAX_ENTRY_HEIGHTS distinct stack heights.
+    entered at more than MAX_ENTRY_HEIGHTS distinct stack heights or with more
+    than MAX_ENTRY_CONTEXTS entry contexts.
     """
     if not program.instructions:
         raise AnalysisError("program has no instructions")

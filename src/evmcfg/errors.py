@@ -76,12 +76,6 @@ class BudgetExceededError(AnalysisError):
     kind = "budget_exceeded"
 
 
-class ReplicaLookupError(AnalysisError):
-    """Block replica or entry context lookup failed."""
-
-    kind = "replica_lookup_error"
-
-
 class StuckStateError(AnalysisError):
     """Concrete execution reached a jump with an untracked target."""
 

@@ -42,7 +42,6 @@ from .errors import (
 )
 
 DEFAULT_MAX_STEPS = 100_000
-DEFAULT_MAX_STATES = 100_000
 
 
 @dataclass(frozen=True)
@@ -201,16 +200,14 @@ def initial_concrete_state() -> ConcreteState:
     return ConcreteState(0, StackState.make(0))
 
 
-def enumerate_states(
-    program: Program,
-    max_steps: int = DEFAULT_MAX_STEPS,
-    max_states: int = DEFAULT_MAX_STATES,
-) -> TraceSet:
+def enumerate_states(program: Program, max_steps: int = DEFAULT_MAX_STEPS) -> TraceSet:
     """Breadth-first closure from the start state plus maximal traces.
 
-    Sets truncated when a bound cuts the closure, when a cycle prevents
-    maximal traces from existing, or when the trace walk budget runs out.
-    Step errors propagate with a partial_trace attribute for diagnosis.
+    max_steps bounds the closure's transitions, hence its states, and the
+    trace walk's steps. Sets truncated when it cuts either, or when a cycle
+    prevents maximal traces from existing. The depth-first walk emits traces
+    in canonical order, as step sorts successors. Step errors propagate with
+    a partial_trace attribute for diagnosis.
     """
     if not program.instructions:
         raise AnalysisError("program has no instructions")
@@ -241,9 +238,6 @@ def enumerate_states(
         for nxt in successors:
             transitions.add((current, nxt))
             if nxt in visited:
-                continue
-            if len(visited) >= max_states:
-                truncated = True
                 continue
             visited.add(nxt)
             parents[nxt] = current
@@ -285,7 +279,7 @@ def enumerate_states(
     return TraceSet(
         states=frozenset(visited),
         transitions=frozenset(transitions),
-        traces=tuple(sorted(traces, key=lambda t: [s.sort_key() for s in t])),
+        traces=tuple(traces),
         truncated=truncated,
     )
 

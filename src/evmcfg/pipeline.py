@@ -12,7 +12,7 @@ from typing import Callable
 from .bytecode import Program, decode_bytecode
 from .cfg import Cfg, build_cfg
 from .equations import EquationSystem, solve
-from .oracle import DEFAULT_MAX_STATES, DEFAULT_MAX_STEPS, TraceSet, Verdict
+from .oracle import DEFAULT_MAX_STEPS, TraceSet, Verdict
 from .oracle import check_jumps_to, check_walk, enumerate_states
 
 
@@ -42,7 +42,6 @@ def analyze(
     check: bool = True,
     solver: str = "worklist",
     max_steps: int = DEFAULT_MAX_STEPS,
-    max_states: int = DEFAULT_MAX_STATES,
     trace: Callable[[str], None] | None = None,
 ) -> Analysis:
     """Run the pipeline on a Program or its hex text.
@@ -56,7 +55,7 @@ def analyze(
     cfg = build_cfg(system)
     traces = jumps_to = walk = None
     if check:
-        traces = enumerate_states(program, max_steps=max_steps, max_states=max_states)
+        traces = enumerate_states(program, max_steps=max_steps)
         jumps_to = check_jumps_to(program, system, traces)
         walk = check_walk(program, cfg, system, traces)
     return Analysis(program, system, cfg, traces, jumps_to, walk)

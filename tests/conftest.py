@@ -20,6 +20,32 @@ SHARED_HEX = "60056010565b600b6010565b00fefefe5b56"
 # two pushes one junk byte underneath.
 TWO_HEIGHT_HEX = "6005600f565b6000600d600f565b005b56"
 
+
+def shift_register_hex(k: int) -> str:
+    """A loop whose head is entered with 2^(k+1) - 1 contexts, all at height
+    k, for 2 <= k <= 16.
+
+    PUSH1 0 k times; L: JUMPDEST CALLDATASIZE PUSH2 A JUMPI PUSH2 L PUSH2 B
+    JUMP; A: JUMPDEST PUSH2 A; B: JUMPDEST SWAPk POP SWAP1 ... SWAP(k-1)
+    PUSH2 L JUMP. Each turn pushes one of two return addresses, drops the
+    bottom slot and rotates the rest.
+    """
+    loop = 2 * k
+    a, b = loop + 13, loop + 17
+    swaps = bytes([0x8F + k, 0x50] + [0x8F + i for i in range(1, k)])
+    code = (
+        bytes.fromhex("6000") * k
+        + bytes.fromhex("5b3661") + a.to_bytes(2, "big")
+        + bytes.fromhex("5761") + loop.to_bytes(2, "big")
+        + bytes.fromhex("61") + b.to_bytes(2, "big")
+        + bytes.fromhex("565b61") + a.to_bytes(2, "big")
+        + bytes.fromhex("5b") + swaps
+        + bytes.fromhex("61") + loop.to_bytes(2, "big")
+        + bytes.fromhex("56")
+    )
+    return code.hex()
+
+
 # Import root of the package under test (src in a checkout, site-packages in
 # an install), for child processes that must import the same copy.
 IMPORT_ROOT = str(Path(evmcfg.__file__).resolve().parent.parent)

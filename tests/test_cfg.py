@@ -9,19 +9,19 @@ import pytest
 
 from evmcfg import (
     ReplicaId,
+    StackState,
     build_cfg,
     cfg_from_json,
     decode_bytecode,
     export_dot,
     export_json,
     generate_program,
-    get_id,
-    get_stack,
     random_shape,
     solve,
 )
 from evmcfg.blocks import Terminator
-from evmcfg.errors import AnalysisError, ReplicaLookupError, UnresolvedJumpError
+from evmcfg.equations import EquationSystem
+from evmcfg.errors import AnalysisError, UnresolvedJumpError
 
 from conftest import BRANCH_HEX, LINEAR_HEX, SHARED_HEX, TWO_HEIGHT_HEX, ss
 
@@ -38,7 +38,7 @@ def edge_set(pairs):
 
 def test_linear_graph(linear):
     cfg = linear.cfg
-    assert cfg.vertices == frozenset({rid(0x00, 1), rid(0x03, 1)})
+    assert cfg.vertices == {rid(0x00, 1): ss(0), rid(0x03, 1): ss(0)}
     assert cfg.jump_edges == edge_set([((0x00, 1), (0x03, 1))])
     assert cfg.next_edges == frozenset()
     assert cfg.entry == rid(0x00, 1)
@@ -46,16 +46,24 @@ def test_linear_graph(linear):
 
 def test_branch_graph(branch):
     cfg = branch.cfg
-    assert cfg.vertices == frozenset({rid(0x00, 1), rid(0x05, 1), rid(0x06, 1)})
+    assert cfg.vertices == {
+        rid(0x00, 1): ss(0),
+        rid(0x05, 1): ss(0),
+        rid(0x06, 1): ss(0),
+    }
     assert cfg.jump_edges == edge_set([((0x00, 1), (0x06, 1))])
     assert cfg.next_edges == edge_set([((0x00, 1), (0x05, 1))])
 
 
 def test_shared_graph_splits_the_target(shared):
     cfg = shared.cfg
-    assert cfg.vertices == frozenset(
-        {rid(0x00, 1), rid(0x05, 1), rid(0x0B, 1), rid(0x10, 1), rid(0x10, 2)}
-    )
+    assert cfg.vertices == {
+        rid(0x00, 1): ss(0),
+        rid(0x05, 1): ss(0),
+        rid(0x0B, 1): ss(0),
+        rid(0x10, 1): ss(1, {0: [0x05]}),
+        rid(0x10, 2): ss(1, {0: [0x0B]}),
+    }
     assert cfg.jump_edges == edge_set(
         [
             ((0x00, 1), (0x10, 1)),
@@ -70,9 +78,13 @@ def test_shared_graph_splits_the_target(shared):
 
 def test_two_height_graph(two_height):
     cfg = two_height.cfg
-    assert cfg.vertices == frozenset(
-        {rid(0x00, 1), rid(0x05, 1), rid(0x0D, 1), rid(0x0F, 1), rid(0x0F, 2)}
-    )
+    assert cfg.vertices == {
+        rid(0x00, 1): ss(0),
+        rid(0x05, 1): ss(0),
+        rid(0x0D, 1): ss(1),
+        rid(0x0F, 1): ss(1, {0: [0x05]}),
+        rid(0x0F, 2): ss(2, {1: [0x0D]}),
+    }
     assert cfg.jump_edges == edge_set(
         [
             ((0x00, 1), (0x0F, 1)),
@@ -94,7 +106,7 @@ def test_fall_into_landing_produces_dashed_edge():
 def test_jumpi_to_its_own_fallthrough_gives_both_edges():
     # PUSH1 1; PUSH1 5; JUMPI; JUMPDEST; STOP: both arms land on 0x05.
     cfg = build_cfg(solve(decode_bytecode("60016005575b00")))
-    assert cfg.vertices == frozenset({rid(0x00, 1), rid(0x05, 1)})
+    assert cfg.vertices.keys() == {rid(0x00, 1), rid(0x05, 1)}
     assert cfg.jump_edges == edge_set([((0x00, 1), (0x05, 1))])
     assert cfg.next_edges == edge_set([((0x00, 1), (0x05, 1))])
 
@@ -103,41 +115,50 @@ def test_code_end_has_no_exit():
     # ADD as the last instruction, with two items to add: no move leaves the
     # block.
     cfg = build_cfg(solve(decode_bytecode("6001600101")))
-    assert cfg.vertices == frozenset({rid(0x00, 1)})
+    assert cfg.vertices.keys() == {rid(0x00, 1)}
     assert cfg.jump_edges == frozenset()
     assert cfg.next_edges == frozenset()
 
 
-# ----------------------------------------------------------------- accessors
+# ---------------------------------------------------------------- numbering
 
-def test_get_id_orders_by_height_then_shape(shared, two_height):
-    assert get_id(0x10, ss(1, {0: [0x05]}), shared.system) == rid(0x10, 1)
-    assert get_id(0x10, ss(1, {0: [0x0B]}), shared.system) == rid(0x10, 2)
+def test_replica_ids_order_by_height_then_shape(shared, two_height):
+    assert shared.cfg.vertices[rid(0x10, 1)] == ss(1, {0: [0x05]})
+    assert shared.cfg.vertices[rid(0x10, 2)] == ss(1, {0: [0x0B]})
     # lower entry height wins the lower id even when added later
-    assert get_id(0x0F, ss(1, {0: [0x05]}), two_height.system) == rid(0x0F, 1)
-    assert get_id(0x0F, ss(2, {1: [0x0D]}), two_height.system) == rid(0x0F, 2)
+    assert two_height.cfg.vertices[rid(0x0F, 1)] == ss(1, {0: [0x05]})
+    assert two_height.cfg.vertices[rid(0x0F, 2)] == ss(2, {1: [0x0D]})
 
 
-def test_get_id_unknown_context(shared):
-    with pytest.raises(ReplicaLookupError):
-        get_id(0x10, ss(3), shared.system)
-
-
-def test_get_stack_inverts_get_id(shared, two_height):
+def test_vertices_number_each_blocks_entry_contexts(shared, two_height):
+    # Per block, ids are dense from 1 and follow StackState.sort_key, and
+    # the contexts are exactly those of the solved state at the block start.
     for pipeline in (shared, two_height):
-        system = pipeline.system
-        for replica in pipeline.cfg.vertices:
-            context = get_stack(replica.block_start, replica.id, system)
-            assert get_id(replica.block_start, context, system) == replica
+        system, vertices = pipeline.system, pipeline.cfg.vertices
+        for block in system.blocks:
+            replicas = sorted(r for r in vertices if r.block_start == block.start_pc)
+            contexts = [vertices[r] for r in replicas]
+            assert [r.id for r in replicas] == list(range(1, len(replicas) + 1))
+            assert contexts == sorted(contexts, key=StackState.sort_key)
+            assert set(contexts) == system.state_at(block.start_pc).keys()
 
 
-def test_get_stack_bounds(shared):
-    with pytest.raises(ReplicaLookupError):
-        get_stack(0x10, 0, shared.system)
-    with pytest.raises(ReplicaLookupError):
-        get_stack(0x10, 3, shared.system)
-    with pytest.raises(ReplicaLookupError):
-        get_stack(0x00, 2, shared.system)
+def test_exports_read_contexts_from_the_graph(shared, two_height, monkeypatch):
+    # Once the graph is built, neither export numbers entry contexts again.
+    expected = [
+        (export_json(p.cfg, p.system), export_dot(p.cfg, p.system))
+        for p in (shared, two_height)
+    ]
+
+    def refuse(self, pc):
+        raise AssertionError("export asked the system for its entry contexts")
+
+    monkeypatch.setattr(EquationSystem, "entry_contexts", refuse)
+    got = [
+        (export_json(p.cfg, p.system), export_dot(p.cfg, p.system))
+        for p in (shared, two_height)
+    ]
+    assert got == expected
 
 
 def test_build_cfg_reports_lost_target():
@@ -310,18 +331,14 @@ def reference_export_json(cfg, system):
         for b in sorted(system.blocks, key=lambda b: b.start_pc)
     ]
     replicas = _ref_replicas(system)
-    vertices_json = []
-    for replica in sorted(cfg.vertices):
-        entry_stack = replicas.get(replica) or get_stack(
-            replica.block_start, replica.id, system
-        )
-        vertices_json.append(
-            {
-                "block": replica.block_start,
-                "id": replica.id,
-                "entry": _ref_stack_to_json(entry_stack),
-            }
-        )
+    vertices_json = [
+        {
+            "block": replica.block_start,
+            "id": replica.id,
+            "entry": _ref_stack_to_json(replicas[replica]),
+        }
+        for replica in sorted(cfg.vertices)
+    ]
     edges_json = [
         _ref_edge_to_json("jump", e) for e in sorted(cfg.jump_edges)
     ] + [

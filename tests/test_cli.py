@@ -9,7 +9,7 @@ import sys
 
 from evmcfg.cli import EXIT_ERROR, EXIT_OK, EXIT_UNSOUND, build_parser, main, run
 
-from conftest import BRANCH_HEX, IMPORT_ROOT, LINEAR_HEX, SHARED_HEX
+from conftest import BRANCH_HEX, IMPORT_ROOT, LINEAR_HEX, SHARED_HEX, shift_register_hex
 
 
 def run_main(capsys, *argv):
@@ -174,7 +174,7 @@ def test_argparse_usage_errors_remapped(capsys):
 def test_budgets_must_be_positive(capsys):
     for argv in (
         ["--hex", "00", "--check", "--max-steps", "0"],
-        ["--hex", "6003565b00", "--check", "--max-states", "-1"],
+        ["--hex", "6003565b00", "--check", "--max-steps", "-1"],
     ):
         code, out, err = run_main(capsys, *argv)
         assert code == EXIT_ERROR
@@ -271,6 +271,22 @@ def test_unbounded_entry_heights_exit_with_budget_error():
     assert proc.stdout == ""
     assert '"kind": "budget_exceeded"' in proc.stderr
     assert json.loads(proc.stderr)["error"]["pc"] == 0
+
+
+def test_permuted_return_addresses_exit_with_budget_error():
+    # 62 bytes whose loop head would be entered with 2^14 - 1 contexts at one
+    # stack height; the context budget stops it.
+    proc = subprocess.run(
+        [sys.executable, "-m", "evmcfg", "--hex", shift_register_hex(13), "--blocks"],
+        capture_output=True,
+        text=True,
+        timeout=10,
+        env={**os.environ, "PYTHONPATH": IMPORT_ROOT},
+    )
+    assert proc.returncode == EXIT_ERROR
+    assert proc.stdout == ""
+    assert '"kind": "budget_exceeded"' in proc.stderr
+    assert "entry contexts" in json.loads(proc.stderr)["error"]["message"]
 
 
 def test_subprocess_smoke(tmp_path):

@@ -21,7 +21,12 @@ from evmcfg import (
     solve,
     verify_fixpoint,
 )
-from evmcfg.equations import MAX_ENTRY_HEIGHTS, _check_entry_heights, contributions
+from evmcfg.equations import (
+    MAX_ENTRY_CONTEXTS,
+    MAX_ENTRY_HEIGHTS,
+    _check_entry_budget,
+    contributions,
+)
 from evmcfg.errors import (
     AnalysisError,
     BudgetExceededError,
@@ -30,7 +35,7 @@ from evmcfg.errors import (
     UnresolvedJumpError,
 )
 
-from conftest import ss
+from conftest import shift_register_hex, ss
 
 
 def full_solution(system):
@@ -264,11 +269,51 @@ def test_entry_height_budget_counts_distinct_heights():
         entered[ss(n, {0: [0x10]})] = frozenset({ss(n, {0: [0x10]})})
     heights = {key.n for key in entered}
     # a new shape at a height already entered fits the budget
-    _check_entry_heights(0x10, heights, idmap(ss(3, {1: [0x10]})))
+    _check_entry_budget(0x10, heights, entered, idmap(ss(3, {1: [0x10]})))
     with pytest.raises(BudgetExceededError) as exc:
-        _check_entry_heights(0x10, heights, idmap(ss(MAX_ENTRY_HEIGHTS)))
+        _check_entry_budget(0x10, heights, entered, idmap(ss(MAX_ENTRY_HEIGHTS)))
     assert exc.value.pc == 0x10
     assert ss(MAX_ENTRY_HEIGHTS).render() in exc.value.message
+
+
+def test_entry_context_budget_counts_new_contexts():
+    # MAX_ENTRY_CONTEXTS contexts at one height: one more raises, one already
+    # held does not
+    entered = {
+        ss(2, {0: [i], 1: [j]}): frozenset({ss(2, {0: [i], 1: [j]})})
+        for i in range(32)
+        for j in range(MAX_ENTRY_CONTEXTS // 32)
+    }
+    assert len(entered) == MAX_ENTRY_CONTEXTS
+    heights = {2}
+    _check_entry_budget(0x10, heights, entered, idmap(ss(2, {0: [0], 1: [0]})))
+    new = ss(2, {0: [0, 1]})
+    with pytest.raises(BudgetExceededError) as exc:
+        _check_entry_budget(0x10, heights, entered, idmap(new))
+    assert exc.value.pc == 0x10
+    assert f"{MAX_ENTRY_CONTEXTS} entry contexts" in exc.value.message
+    assert new.render() in exc.value.message
+    assert heights == {2}
+
+
+@pytest.mark.parametrize("mode", ["worklist", "naive"])
+@pytest.mark.parametrize("k", [10, 13, 16])
+def test_permuted_return_addresses_exceed_context_budget(k, mode):
+    # All contexts share one height, so only the context budget stops them.
+    program = decode_bytecode(shift_register_hex(k))
+    with pytest.raises(BudgetExceededError) as exc:
+        solve(program, mode=mode)
+    assert exc.value.pc is not None
+    assert f"block at pc 0x{exc.value.pc:x}" in exc.value.message
+    assert f"{MAX_ENTRY_CONTEXTS} entry contexts" in exc.value.message
+
+
+def test_shift_register_below_the_budget_solves():
+    # width 7 enters its busiest block with 510 contexts, all at height 7
+    system = solve(decode_bytecode(shift_register_hex(7)))
+    busiest = max(len(system.state_at(b.start_pc)) for b in system.blocks)
+    assert busiest == 510
+    assert {key.n for key in system.state_at(14)} == {7}
 
 
 def test_empty_program_rejected():

@@ -165,8 +165,23 @@ def test_enumerate_cycle_truncates():
 def test_enumerate_budget_truncates(linear):
     traces = enumerate_states(linear.program, max_steps=2)
     assert traces.truncated
-    by_states = enumerate_states(linear.program, max_states=2)
-    assert by_states.truncated
+
+
+def test_traces_come_out_in_canonical_order(linear, branch, shared, two_height):
+    # The depth-first walk needs no sort: the sort stays here as the reference.
+    def check(traces):
+        assert not traces.truncated
+        assert traces.traces == tuple(
+            sorted(traces.traces, key=lambda t: [s.sort_key() for s in t])
+        )
+
+    for fixture in (linear, branch, shared, two_height):
+        check(fixture.traces)
+    rng = random.Random(0x7A)
+    for _ in range(200):
+        seed = rng.getrandbits(32)
+        program = generate_program(seed, random_shape(random.Random(seed)))
+        check(enumerate_states(program))
 
 
 def test_step_budget_counts_transitions(linear):
