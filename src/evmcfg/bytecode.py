@@ -9,6 +9,7 @@ recorded as a diagnostic rather than rejected.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 
 from .errors import DecodeError
@@ -152,10 +153,13 @@ def _base_table() -> dict[int, OpSpec]:
 
 OPCODES: dict[int, OpSpec] = _base_table()
 
-
-def _unknown_spec(byte_value: int) -> OpSpec:
-    # Undefined bytes behave like INVALID: they halt and consume nothing.
-    return OpSpec(f"UNKNOWN_{byte_value:02X}", byte_value, 0, 0, halts=True)
+# The spec of every byte value. Undefined bytes behave like INVALID: they
+# halt and consume nothing.
+_SPECS: tuple[OpSpec, ...] = tuple(
+    OPCODES.get(b) or OpSpec(f"UNKNOWN_{b:02X}", b, 0, 0, halts=True)
+    for b in range(256)
+)
+_NON_HEX = re.compile("[^0-9a-fA-F]")
 
 
 @dataclass(frozen=True)
@@ -236,11 +240,12 @@ def decode_bytecode(hex_text: str) -> Program:
     DecodeError naming the first offending digit offset for malformed hex.
     """
     digits = _clean_hex(hex_text)
-    for i, ch in enumerate(digits):
-        if ch not in "0123456789abcdefABCDEF":
-            raise DecodeError(
-                f"invalid hex digit {ch!r} at offset {i}", offset=i
-            )
+    bad = _NON_HEX.search(digits)
+    if bad is not None:
+        raise DecodeError(
+            f"invalid hex digit {bad.group()!r} at offset {bad.start()}",
+            offset=bad.start(),
+        )
     if len(digits) % 2 != 0:
         raise DecodeError(
             f"odd number of hex digits, dangling nibble at offset {len(digits) - 1}",
@@ -254,7 +259,7 @@ def decode_bytecode(hex_text: str) -> Program:
     pc = 0
     while pc < len(code):
         byte = code[pc]
-        spec = OPCODES.get(byte) or _unknown_spec(byte)
+        spec = _SPECS[byte]
         immediate = None
         if spec.immediate_len:
             raw = code[pc + 1 : pc + 1 + spec.immediate_len]

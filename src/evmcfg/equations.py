@@ -21,13 +21,33 @@ contribute to their successors as follows:
 The moves into a new block (the first three rules) are block_exits, which
 build_cfg also turns into the graph's edges.
 
-Solving joins contributions until nothing changes. The worklist solver is
-semi-naive: each queued pc holds the facts (entry context, member) it gained
-since it was last popped, and a pop transfers only those, so every fact is
-transferred once. The naive solver exists to cross-check the worklist
-result. Each of its rounds sweeps every constraint in pc order, joining each
-contribution into its target at once (Gauss-Seidel), and it stops after a
-round that changes nothing. It keeps no deltas.
+Every block start receives only fresh entry contexts, and a block body is
+straight-line code, so each entry context has exactly one member at every
+pc of its block. The worklist solver therefore moves entry contexts
+between block starts, one pop per (block, context) pair. It summarises
+each block body, without its last instruction, once: when the first
+context that can run the body arrives. The summary comes from update_stack
+itself, so there is no second stack semantics: it is run on a probe of
+height depth (the items the body reads below the entry top) whose slot p
+holds the marker destination code_len + p. A marker is never a jump
+landing, so it cannot be mistaken for a pushed one. In each resulting
+probe state, a slot holding a marker copies that slot of the entry, and
+any other tracked slot holds a pushed landing. A context of height n with
+n >= depth and n + peak <= MAX_STACK (peak being the body's highest rise)
+takes the last probe state's moves. Any other context cannot run the body,
+and stepping it through transfer raises the StackArityError, pc and entry
+context included, that a per-instruction pass raises. The last instruction
+then leaves the block through block_exits.
+
+The worklist solver stores states only at block starts and last
+instructions. EquationSystem.state_at derives a block's interior states on
+first request, from the other probe states, and keeps them. The naive
+solver fills every pc: each round sweeps every per-instruction constraint
+in pc order, joining each contribution into its target at once
+(Gauss-Seidel), and it stops after a round that changes nothing. It
+shares no summary with the worklist solver, which keeps it an independent
+reference. verify_fixpoint likewise re-evaluates every per-instruction
+constraint over state_at, so it checks every derived interior state.
 
 Both solvers stop an input whose entry contexts grow without bound. A block
 may be entered at no more than MAX_ENTRY_HEIGHTS distinct stack heights and
@@ -42,11 +62,12 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Callable
+from types import MappingProxyType
+from typing import Callable, Iterable, Mapping, NamedTuple
 
-from .blocks import Block, partition_blocks
+from .blocks import Block, Terminator, partition_blocks
 from .bytecode import Instruction, JUMPI_BYTE, Program
-from .domain import AbstractState, StackState, bottom, idmap, join, leq
+from .domain import MAX_STACK, AbstractState, StackState, bottom, idmap, join, leq
 from .errors import (
     AnalysisError,
     BudgetExceededError,
@@ -78,9 +99,8 @@ MAX_ENTRY_HEIGHTS = 64
 MAX_ENTRY_CONTEXTS = 512
 
 
-@dataclass
-class ConstraintVar:
-    """Value accumulated for one instruction pc. Only ever grows."""
+class ConstraintVar(NamedTuple):
+    """The state at one instruction pc, as EquationSystem.vars shows it."""
 
     pc: int
     value: AbstractState
@@ -90,6 +110,7 @@ class ConstraintVar:
 class SolveStats:
     mode: str
     iterations: int = 0
+    # Worklist: (block, entry context) pairs moved. Naive: unused.
     pops: int = 0
     # (pc, before, after) for every applied update, when recording is on.
     updates: list[tuple[int, AbstractState, AbstractState]] = field(default_factory=list)
@@ -99,16 +120,78 @@ class SolveStats:
 
 @dataclass
 class EquationSystem:
-    """Solved (or solving) constraint system for one program."""
+    """Solved (or solving) constraint system for one program.
+
+    states holds the computed states: every pc under the naive solver,
+    block starts and last instructions under the worklist solver. state_at
+    derives and adds the rest.
+    """
 
     program: Program
     blocks: tuple[Block, ...]
     unreached: frozenset[int]
-    vars: dict[int, ConstraintVar]
+    states: dict[int, AbstractState]
     solve_stats: SolveStats
+    # Block start -> summary of its body, as the worklist solver left them.
+    _summaries: dict[int, _Summary] = field(
+        default_factory=dict, repr=False, compare=False
+    )
+    # pc -> its block (None for an unreached pc), built on first derivation.
+    _block_at: dict[int, Block | None] | None = field(
+        default=None, repr=False, compare=False
+    )
 
     def state_at(self, pc: int) -> AbstractState:
-        return self.vars[pc].value
+        """State at pc; KeyError for a pc that holds no instruction."""
+        state = self.states.get(pc)
+        return self._derive(pc) if state is None else state
+
+    def _derive(self, pc: int) -> AbstractState:
+        """Fill in the states of pc's block from its entry states."""
+        if self._block_at is None:
+            self._block_at = dict.fromkeys(self.unreached)
+            for block in self.blocks:
+                for ins in block.body:
+                    self._block_at[ins.pc] = block
+        if pc not in self._block_at:
+            raise KeyError(f"no instruction at pc 0x{pc:x}")
+        block = self._block_at[pc]
+        if block is None:
+            return self.states.setdefault(pc, bottom())
+        state = self.states.setdefault(block.start_pc, bottom())
+        interior = block.body[1:-1]
+        summary = self._summaries.get(block.start_pc)
+        if summary is not None and all(
+            summary.fits(member) for members in state.values() for member in members
+        ):
+            for ins, probe in zip(interior, summary.probes):
+                self.states.setdefault(
+                    ins.pc,
+                    {
+                        key: frozenset([summary.apply(probe, m) for m in members])
+                        for key, members in state.items()
+                    },
+                )
+        else:
+            # No summary (a block the solver never entered) or a doctored
+            # entry state: transfer it through the body.
+            for prev, ins in zip(block.body, interior):
+                state = self.states.setdefault(
+                    ins.pc, transfer(prev, state, self.program.jumpdests)
+                )
+        self.states.setdefault(block.end_pc, bottom())
+        return self.states[pc]
+
+    @property
+    def vars(self) -> Mapping[int, ConstraintVar]:
+        """Read-only view of state_at at every instruction pc; the
+        benchmark in bench/ still reads it, the library uses state_at."""
+        return MappingProxyType(
+            {
+                ins.pc: ConstraintVar(ins.pc, self.state_at(ins.pc))
+                for ins in self.program.instructions
+            }
+        )
 
     def entry_contexts(self, pc: int) -> tuple[StackState, ...]:
         """Entry contexts reaching pc, in canonical order."""
@@ -205,9 +288,9 @@ def contributions(
 
 
 def _check_entry_budget(
-    pc: int, heights: set[int], held: AbstractState, arriving: AbstractState
+    pc: int, heights: set[int], held: AbstractState, arriving: Iterable[StackState]
 ) -> None:
-    """Check arriving's new entry contexts against the budgets of the block
+    """Check the arriving entry contexts against the budgets of the block
     at pc, entered with held at the heights in heights (kept up to date);
     raise BudgetExceededError past either budget."""
     contexts = len(held)
@@ -233,76 +316,148 @@ def _check_entry_budget(
         contexts += 1
 
 
-def _grow(value: AbstractState, contributed: AbstractState) -> AbstractState:
-    """Add contributed's unseen members to value in place; return them."""
-    gained: AbstractState = {}
-    for key, members in contributed.items():
-        held = value.get(key)
-        if held is None:
-            value[key] = gained[key] = members
-        elif not members <= held:
-            gained[key] = members - held
-            value[key] = held | members
-    return gained
+class _Summary(NamedTuple):
+    """Stack effect of a block body without its last instruction.
+
+    The moves are read off the probe states: a probe slot holding
+    marker + p copies slot p of the entry's read region (the depth items
+    below its top), and any other tracked probe slot holds a pushed landing.
+    """
+
+    depth: int  # items read below the entry top
+    peak: int  # highest rise above the entry height
+    marker: int  # the program's code_len
+    # The probe after each instruction of the body, so the last one gives
+    # the body's effect and the others the states inside the block.
+    probes: tuple[StackState, ...]
+
+    def fits(self, s: StackState) -> bool:
+        """Whether s runs the whole body without an arity error."""
+        return self.depth <= s.n <= MAX_STACK - self.peak
+
+    def apply(self, probe: StackState, s: StackState) -> StackState:
+        """s after the instructions that turned the probe into probe."""
+        base = s.n - self.depth
+        sigma = [slot for slot in s.sigma if slot[0] < base]
+        tracked = dict(s.sigma)
+        for q, dests in probe.sigma:
+            if dests[0] >= self.marker:
+                dests = tracked.get(base + dests[0] - self.marker)
+                if dests is None:
+                    continue
+            sigma.append((base + q, dests))
+        return StackState(base + probe.n, tuple(sigma))
+
+
+def _reach(body: tuple[Instruction, ...]) -> tuple[int, int]:
+    """body's depth and peak: the items it reads below the entry top, and
+    its highest rise above the entry height."""
+    rise = depth = peak = 0
+    for ins in body:
+        depth = max(depth, ins.spec.delta - rise)
+        rise += ins.spec.alpha - ins.spec.delta
+        peak = max(peak, rise)
+    return depth, peak
+
+
+def _summarise(
+    program: Program, body: tuple[Instruction, ...], depth: int, peak: int
+) -> _Summary:
+    """body's summary, given its depth and peak; depth + peak must not pass
+    MAX_STACK, as a context that runs the body shows."""
+    marker = program.code_len
+    state = StackState(depth, tuple((p, (marker + p,)) for p in range(depth)))
+    probes = []
+    for ins in body:
+        state = update_stack(ins, state, program.jumpdests)
+        probes.append(state)
+    return _Summary(depth, peak, marker, tuple(probes))
+
+
+def _run_body(
+    program: Program, body: tuple[Instruction, ...], summary: _Summary | None,
+    key: StackState,
+) -> StackState:
+    """The member of entry context key after body, summarised by summary."""
+    if summary is not None and summary.fits(key):
+        return summary.apply(summary.probes[-1], key)
+    # Outside the summary's range the body cannot run: stepping it raises
+    # the arity error of a per-instruction pass, entry context included.
+    pi = idmap(key)
+    for ins in body:
+        pi = transfer(ins, pi, program.jumpdests)
+    (member,) = pi[key]
+    return member
 
 
 def _solve_worklist(
     program: Program,
-    vars: dict[int, ConstraintVar],
+    blocks: tuple[Block, ...],
+    states: dict[int, AbstractState],
     heights: dict[int, set[int]],
+    summaries: dict[int, _Summary],
     stats: SolveStats,
     record: bool,
     trace: Callable[[str], None] | None,
 ) -> None:
-    pending = deque([0])
-    # Facts each queued pc gained since it was last popped. A pc is queued
-    # exactly while it holds a delta.
-    deltas: dict[int, AbstractState] = {0: dict(vars[0].value)}
+    by_start = {block.start_pc: block for block in blocks}
+    # (block start, entry context) pairs not yet moved through their block.
+    pending = deque((0, key) for key in states[0])
     while pending:
-        pc = pending.popleft()
-        delta = deltas.pop(pc)
+        start, key = pending.popleft()
         stats.pops += 1
-        instr = program.instruction_at(pc)
-        for target, contributed in contributions(program, instr, delta):
-            value = vars[target].value
-            if target in heights:
-                _check_entry_budget(target, heights[target], value, contributed)
-            before = dict(value) if record else None
-            count = sum(len(v) for v in value.values()) if trace is not None else 0
-            gained = _grow(value, contributed)
-            if not gained:
+        block = by_start[start]
+        body = block.body[:-1]
+        end = key
+        if body:
+            summary = summaries.get(start)
+            if summary is None:
+                # Summarise on the first context that runs the body; one
+                # that cannot makes _run_body raise, which ends the solve.
+                depth, peak = _reach(body)
+                if depth <= key.n <= MAX_STACK - peak:
+                    summary = summaries[start] = _summarise(program, body, depth, peak)
+            end = _run_body(program, body, summary, key)
+        ended = {key: frozenset((end,))}
+        if body:
+            states.setdefault(block.end_pc, {}).update(ended)
+        if block.terminator is Terminator.CODE_END:
+            update_stack(block.last, end, program.jumpdests)
+            continue
+        for _key, _kind, target, landed in block_exits(program, block.last, ended):
+            held = states.setdefault(target, {})
+            if landed in held:
                 continue
+            _check_entry_budget(target, heights[target], held, (landed,))
+            before = dict(held) if record else None
+            held[landed] = frozenset((landed,))
             if record:
-                stats.updates.append((target, before, dict(value)))
+                stats.updates.append((target, before, dict(held)))
             if trace is not None:
                 trace(
-                    f"pop pc=0x{pc:x} -> grow 0x{target:x}: {count} ->"
-                    f" {count + sum(len(v) for v in gained.values())} members"
+                    f"pop 0x{start:x} {key.render()} -> grow 0x{target:x}:"
+                    f" {len(held) - 1} -> {len(held)} entry contexts"
                 )
-            if target in deltas:
-                _grow(deltas[target], gained)
-            else:
-                deltas[target] = gained
-                pending.append(target)
+            pending.append((target, landed))
     stats.iterations = stats.pops
 
 
 def _solve_naive(
     program: Program,
-    vars: dict[int, ConstraintVar],
+    states: dict[int, AbstractState],
     heights: dict[int, set[int]],
     stats: SolveStats,
     record: bool,
     trace: Callable[[str], None] | None,
 ) -> None:
-    pcs = sorted(vars)
+    pcs = sorted(states)
     while True:
         stats.iterations += 1
         changed = False
         for pc in pcs:
             instr = program.instruction_at(pc)
-            for target, contributed in contributions(program, instr, vars[pc].value):
-                held = vars[target].value
+            for target, contributed in contributions(program, instr, states[pc]):
+                held = states[target]
                 if leq(contributed, held):
                     continue
                 if target in heights:
@@ -310,10 +465,10 @@ def _solve_naive(
                 value = join(held, contributed)
                 if record:
                     stats.updates.append((target, held, value))
-                vars[target].value = value
+                states[target] = value
                 changed = True
         if record:
-            stats.snapshots.append({pc: var.value for pc, var in vars.items()})
+            stats.snapshots.append(dict(states))
         if trace is not None:
             trace(f"round {stats.iterations}: changed={changed}")
         if not changed:
@@ -328,11 +483,11 @@ def solve(
 ) -> EquationSystem:
     """Compute the least solution of the program's flow constraints.
 
-    mode selects the worklist solver or the naive sweeping one; both
-    reach the same fixpoint. record keeps per-update history in solve_stats
-    for monotonicity checks. Raises BudgetExceededError when a block would be
-    entered at more than MAX_ENTRY_HEIGHTS distinct stack heights or with more
-    than MAX_ENTRY_CONTEXTS entry contexts.
+    mode selects the block worklist solver or the naive per-instruction
+    one; both reach the same fixpoint. record keeps per-update history in
+    solve_stats for monotonicity checks. Raises BudgetExceededError when a
+    block would be entered at more than MAX_ENTRY_HEIGHTS distinct stack
+    heights or with more than MAX_ENTRY_CONTEXTS entry contexts.
     """
     if not program.instructions:
         raise AnalysisError("program has no instructions")
@@ -340,43 +495,46 @@ def solve(
         raise ValueError(f"unknown solver mode {mode!r}")
 
     blocks, unreached = partition_blocks(program)
-    vars = {
-        ins.pc: ConstraintVar(ins.pc, bottom()) for ins in program.instructions
-    }
-    vars[0].value = initial_state()
     stats = SolveStats(mode=mode)
-    if record and mode == "naive":
-        stats.snapshots.append({pc: var.value for pc, var in vars.items()})
-
     # Stack heights each block is entered at, kept as contexts arrive.
-    heights = {b.start_pc: {s.n for s in vars[b.start_pc].value} for b in blocks}
+    heights = {block.start_pc: set() for block in blocks}
+    heights[0].add(0)
+    summaries: dict[int, _Summary] = {}
     if mode == "worklist":
-        _solve_worklist(program, vars, heights, stats, record, trace)
+        states = {0: initial_state()}
+        _solve_worklist(
+            program, blocks, states, heights, summaries, stats, record, trace
+        )
     else:
-        _solve_naive(program, vars, heights, stats, record, trace)
+        states = {ins.pc: bottom() for ins in program.instructions}
+        states[0] = initial_state()
+        if record:
+            stats.snapshots.append(dict(states))
+        _solve_naive(program, states, heights, stats, record, trace)
 
     return EquationSystem(
         program=program,
         blocks=blocks,
         unreached=unreached,
-        vars=vars,
+        states=states,
         solve_stats=stats,
+        _summaries=summaries,
     )
 
 
 def verify_fixpoint(system: EquationSystem) -> list[tuple[int, int]]:
     """(source pc, target pc) pairs whose constraint is not satisfied.
 
-    Empty means the stored values are a genuine fixpoint: re-evaluating
-    every contribution and joining changes nothing, and the pc 0 variable
+    Empty means the states are a genuine fixpoint: re-evaluating every
+    per-instruction contribution and joining changes nothing, and pc 0
     still covers the initial empty-stack context.
     """
     failures: list[tuple[int, int]] = []
-    if not leq(initial_state(), system.vars[0].value):
+    if not leq(initial_state(), system.state_at(0)):
         failures.append((0, 0))
-    for pc, var in system.vars.items():
-        instr = system.program.instruction_at(pc)
-        for target, contributed in contributions(system.program, instr, var.value):
-            if not leq(contributed, system.vars[target].value):
-                failures.append((pc, target))
+    for instr in system.program.instructions:
+        pi = system.state_at(instr.pc)
+        for target, contributed in contributions(system.program, instr, pi):
+            if not leq(contributed, system.state_at(target)):
+                failures.append((instr.pc, target))
     return failures

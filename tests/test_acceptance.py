@@ -270,7 +270,7 @@ def test_acceptance_6_mutation_sensitivity():
             mutated = solve(program)
             doctored = dict(mutated.state_at(pc))
             del doctored[context]
-            mutated.vars[pc].value = doctored
+            mutated.states[pc] = doctored
             verdict = check_jumps_to(program, mutated, traces)
             assert verdict.status == "fail", f"seed {seed}: dropped context unnoticed"
             context_trials += 1

@@ -163,7 +163,7 @@ def test_exports_read_contexts_from_the_graph(shared, two_height, monkeypatch):
 
 def test_build_cfg_reports_lost_target():
     system = solve(decode_bytecode("6003565b00"))
-    system.vars[0x02].value = {ss(0): frozenset({ss(1)})}
+    system.states[0x02] = {ss(0): frozenset({ss(1)})}
     with pytest.raises(UnresolvedJumpError):
         build_cfg(system)
 

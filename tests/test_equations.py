@@ -10,6 +10,8 @@ from __future__ import annotations
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from evmcfg import (
     GeneratorShape,
@@ -19,12 +21,17 @@ from evmcfg import (
     initial_state,
     leq,
     solve,
+    update_stack,
     verify_fixpoint,
 )
+from evmcfg.domain import MAX_STACK, StackState
 from evmcfg.equations import (
     MAX_ENTRY_CONTEXTS,
     MAX_ENTRY_HEIGHTS,
     _check_entry_budget,
+    _reach,
+    _run_body,
+    _summarise,
     contributions,
 )
 from evmcfg.errors import (
@@ -35,7 +42,7 @@ from evmcfg.errors import (
     UnresolvedJumpError,
 )
 
-from conftest import shift_register_hex, ss
+from conftest import dest_sets, shift_register_hex, ss
 
 
 def full_solution(system):
@@ -391,10 +398,13 @@ def test_trace_callback_fires():
     assert any("round" in line for line in lines)
 
 
-def test_worklist_transfers_each_fact_once(monkeypatch):
+def test_worklist_steps_each_instruction_once_per_block(monkeypatch):
     # update_stack is bound in transfer (used by transfer()) and in
-    # equations (used by block_exits); count calls through both. The modules
-    # come from sys.modules because evmcfg.transfer names the function.
+    # equations (used by the summaries and block_exits); count calls
+    # through both. The modules come from sys.modules because
+    # evmcfg.transfer names the function. Each block body is summarised
+    # once (one call per instruction but the last), and each replica
+    # leaves its block through one call.
     original = sys.modules["evmcfg.transfer"].update_stack
     calls = 0
 
@@ -406,17 +416,106 @@ def test_worklist_transfers_each_fact_once(monkeypatch):
     for module in ("evmcfg.transfer", "evmcfg.equations"):
         monkeypatch.setattr(sys.modules[module], "update_stack", counted)
     shape = GeneratorShape(branch_count=50, callee_count=10, sites_per_callee=5)
-    system = solve(generate_program(1, shape))
-    facts = sum(
-        len(members) for var in system.vars.values() for members in var.value.values()
+    program = generate_program(1, shape)
+    system = solve(program)
+    replicas = sum(len(system.state_at(b.start_pc)) for b in system.blocks)
+    assert 0 < calls <= len(program.instructions) - len(system.blocks) + replicas
+
+
+def test_worklist_pops_counted(shared, two_height):
+    for pipeline in (shared, two_height):
+        stats = pipeline.system.solve_stats
+        assert stats.pops == len(pipeline.cfg.vertices)
+        assert stats.iterations == stats.pops
+
+
+# ------------------------------------------------------------ block summaries
+
+# ADD SUB ADDMOD ISZERO NOT CALLDATASIZE PC PUSH0 POP MSTORE CALL
+OTHER_OPS = (0x01, 0x03, 0x08, 0x15, 0x19, 0x36, 0x58, 0x5F, 0x50, 0x52, 0xF1)
+LANDINGS = 4  # JUMPDESTs after the body
+
+
+@st.composite
+def straight_line_bodies(draw):
+    """A program of 1 to 40 straight-line instructions followed by LANDINGS
+    JUMPDESTs, and its body. PUSH2s push a landing or any value up to 0x1ff,
+    which covers the summary's marker values too."""
+    ops = draw(
+        st.lists(
+            st.one_of(
+                st.tuples(st.just("landing"), st.integers(0, LANDINGS - 1)),
+                st.tuples(st.just("value"), st.integers(0, 0x1FF)),
+                st.integers(0x80, 0x9F).map(lambda b: ("op", b)),  # DUPk, SWAPk
+                st.sampled_from(OTHER_OPS).map(lambda b: ("op", b)),
+            ),
+            min_size=1,
+            max_size=40,
+        )
     )
-    assert 0 < calls <= facts
+    size = sum(1 if kind == "op" else 3 for kind, _ in ops)
+    code = bytearray()
+    for kind, arg in ops:
+        if kind == "op":
+            code.append(arg)
+        else:
+            code.append(0x61)
+            code += (size + arg if kind == "landing" else arg).to_bytes(2, "big")
+    program = decode_bytecode((code + bytes([0x5B]) * LANDINGS).hex())
+    return program, tuple(ins for ins in program.instructions if ins.pc < size)
 
 
-def test_worklist_pops_counted(linear):
-    stats = linear.system.solve_stats
-    assert stats.pops >= len(linear.program.instructions) - 1
-    assert stats.iterations == stats.pops
+@st.composite
+def entry_contexts(draw):
+    """Contexts near the empty and the full stack, tracked near the top."""
+    n = draw(st.one_of(st.integers(0, 24), st.integers(MAX_STACK - 24, MAX_STACK)))
+    if n == 0:
+        return StackState.make(0)
+    positions = draw(st.lists(st.integers(max(0, n - 24), n - 1), unique=True, max_size=8))
+    return StackState.make(n, {pos: draw(dest_sets()) for pos in positions})
+
+
+@given(straight_line_bodies(), entry_contexts())
+@settings(max_examples=400)
+def test_summary_equals_stepping(drawn, key):
+    program, body = drawn
+    depth, peak = _reach(body)
+    # A summary exists once some context runs the body.
+    summary = _summarise(program, body, depth, peak) if depth + peak <= MAX_STACK else None
+    stepped = [key]
+    try:
+        for ins in body:
+            stepped.append(update_stack(ins, stepped[-1], program.jumpdests))
+    except StackArityError as err:
+        # Outside the summary's range: the stepped error, entry context added.
+        assert not depth <= key.n <= MAX_STACK - peak
+        with pytest.raises(StackArityError) as exc:
+            _run_body(program, body, summary, key)
+        assert exc.value.pc == err.pc
+        assert exc.value.message == f"{err.message} (entry context {key.render()})"
+        return
+    assert summary is not None and summary.fits(key)
+    # Every probe, the last one (the block end) and those inside the block.
+    assert [summary.apply(probe, key) for probe in summary.probes] == stepped[1:]
+    assert _run_body(program, body, summary, key) == stepped[-1]
+
+
+def test_block_worklist_reports_its_first_arity_error():
+    # Two real arity errors. The block worklist steps the second context of
+    # the block at 0x2 (height 0, from its own JUMPI) before the fall-through
+    # block at 0x6; the naive solver's pc-order sweep reaches SSTORE at 0x6
+    # first.
+    program = decode_bytecode(
+        "602f5b600257551b57b85bb54157601b5b563b5723600957fa925b56acd4aa4e57"
+        "603e516017601c602757145b600c60025b5bf3097355575b3c7beb4c6003"
+    )
+    with pytest.raises(StackArityError) as exc:
+        solve(program)
+    assert exc.value.pc == 0x5
+    assert exc.value.message == "JUMPI at pc 0x5 needs 2 stack items, found 1"
+    with pytest.raises(StackArityError) as exc:
+        solve(program, mode="naive")
+    assert exc.value.kind == "stack_arity_error"
 
 
 # ----------------------------------------------------------- tamper checking
@@ -425,21 +524,21 @@ def test_verify_detects_removed_context(shared):
     system = solve(shared.program)
     doctored = dict(system.state_at(0x10))
     del doctored[ss(1, {0: [0x0B]})]
-    system.vars[0x10].value = doctored
+    system.states[0x10] = doctored
     failures = verify_fixpoint(system)
     assert (0x0A, 0x10) in failures
 
 
 def test_verify_detects_lost_initial_context(linear):
     system = solve(linear.program)
-    system.vars[0x00].value = {}
+    system.states[0x00] = {}
     failures = verify_fixpoint(system)
     assert (0, 0) in failures
 
 
 def test_verify_detects_truncated_member(branch):
     system = solve(branch.program)
-    system.vars[0x04].value = {ss(0): frozenset({ss(2)})}
+    system.states[0x04] = {ss(0): frozenset({ss(2)})}
     # now pc 4 claims an untracked JUMPI target
     with pytest.raises(UnresolvedJumpError):
         verify_fixpoint(system)

@@ -242,7 +242,7 @@ def test_dropped_context_is_caught(shared):
     system = solve(shared.program)
     doctored = dict(system.state_at(0x10))
     del doctored[ss(1, {0: [0x0B]})]
-    system.vars[0x10].value = doctored
+    system.states[0x10] = doctored
     verdict = check_jumps_to(shared.program, system, shared.traces)
     assert verdict.status == "fail"
     (violation,) = verdict.violations
@@ -253,7 +253,7 @@ def test_dropped_context_is_caught(shared):
 
 def test_dropped_initial_context_is_caught(linear):
     system = solve(linear.program)
-    system.vars[0x00].value = {}
+    system.states[0x00] = {}
     verdict = check_jumps_to(linear.program, system, linear.traces)
     assert verdict.status == "fail"
     assert verdict.violations[0].kind == "uncovered_state"
@@ -266,7 +266,7 @@ def test_narrowed_member_is_caught(shared):
     ret_a = ss(1, {0: [0x05]})
     doctored = dict(system.state_at(0x10))
     doctored[ret_a] = frozenset({ss(1)})
-    system.vars[0x10].value = doctored
+    system.states[0x10] = doctored
     verdict = check_jumps_to(shared.program, system, shared.traces)
     assert verdict.status == "fail"
     kinds = {v.kind for v in verdict.violations}
@@ -292,7 +292,7 @@ def test_missing_jump_target_detected(shared):
     # Claim the second call site never returns to the shared block.
     system = solve(shared.program)
     narrowed = ss(1)
-    system.vars[0x0A].value = {ss(0): frozenset({ss(2, {0: [0x0B]})})}
+    system.states[0x0A] = {ss(0): frozenset({ss(2, {0: [0x0B]})})}
     verdict = check_jumps_to(shared.program, system, shared.traces)
     assert verdict.status == "fail"
     kinds = {v.kind for v in verdict.violations}
