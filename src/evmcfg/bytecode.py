@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .errors import DecodeError
 
@@ -162,8 +163,7 @@ _SPECS: tuple[OpSpec, ...] = tuple(
 _NON_HEX = re.compile("[^0-9a-fA-F]")
 
 
-@dataclass(frozen=True)
-class Instruction:
+class Instruction(NamedTuple):
     """One decoded instruction at a fixed pc."""
 
     pc: int

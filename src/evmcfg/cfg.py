@@ -3,9 +3,9 @@
 Each block appears once per entry context that reaches it, so a shared
 snippet entered with different return addresses on the stack becomes
 several graph vertices, one per caller. Replica ids are dense, start at 1,
-and follow the canonical order of the entry contexts (height first, then
-the tracked map, as EquationSystem.entry_contexts sorts them), which makes
-ids independent of solver visit order.
+and follow the natural order of the entry contexts, which is canonical
+(height first, then the tracked map; EquationSystem.entry_contexts sorts
+them so). That makes ids independent of solver visit order.
 
 build_cfg numbers the contexts once: Cfg.vertices maps each replica id to
 the entry context it stands for, and both exports read contexts from it.
@@ -82,13 +82,15 @@ def build_cfg(system: EquationSystem) -> Cfg:
 def export_dot(cfg: Cfg, system: EquationSystem) -> str:
     """Graphviz rendering: solid jump edges, dashed next edges."""
     lines = ["digraph cfg {"]
-    blocks = {block.start_pc: block for block in system.blocks}
+    labels = {
+        block.start_pc: "\\n".join(
+            [f"0x{block.start_pc:02x}..0x{block.end_pc:02x}"]
+            + [ins.render() for ins in block.body]
+        )
+        for block in system.blocks
+    }
     for replica in sorted(cfg.vertices):
-        block = blocks[replica.block_start]
-        label_parts = [f"0x{block.start_pc:02x}..0x{block.end_pc:02x}"]
-        label_parts += [ins.render() for ins in block.body]
-        label = "\\n".join(label_parts)
-        lines.append(f'  {replica.name()} [label="{label}"];')
+        lines.append(f'  {replica.name()} [label="{labels[replica.block_start]}"];')
     for a, b in sorted(cfg.jump_edges):
         lines.append(f"  {a.name()} -> {b.name()};")
     for a, b in sorted(cfg.next_edges):

@@ -5,6 +5,10 @@ positions to sets of possible jump destinations. Position 0 is the bottom of
 the stack; with height n the top of the stack is position n - 1. Positions
 absent from the map hold values the analysis does not track.
 
+A StackState is a validated tuple (n, sigma): its constructor rejects a
+malformed one, and hashing, equality and ordering are the tuple's own. Its
+natural order is the canonical one: height first, then the tracked map.
+
 An AbstractState is a partial map from entry StackStates (the stack shapes a
 block can be entered with) to the sets of StackStates those entries have
 evolved into at the current instruction. Joining two AbstractStates unions
@@ -14,26 +18,30 @@ empty map is the least element.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, NamedTuple
 
 MAX_STACK = 1024
 
 
-@dataclass(frozen=True)
-class StackState:
-    """Stack height plus tracked destination sets, in canonical sorted form."""
+class _Stack(NamedTuple):
+    """The fields of StackState, which checks them on construction."""
 
     n: int
     sigma: tuple[tuple[int, tuple[int, ...]], ...] = ()
 
-    def __post_init__(self):
-        if not 0 <= self.n <= MAX_STACK:
-            raise ValueError(f"stack height {self.n} out of range")
+
+class StackState(_Stack):
+    """Stack height plus tracked destination sets, in canonical sorted form."""
+
+    __slots__ = ()
+
+    def __new__(cls, n: int, sigma: tuple[tuple[int, tuple[int, ...]], ...] = ()):
+        if not 0 <= n <= MAX_STACK:
+            raise ValueError(f"stack height {n} out of range")
         last = -1
-        for pos, dests in self.sigma:
-            if not 0 <= pos < self.n:
-                raise ValueError(f"tracked position {pos} outside stack of height {self.n}")
+        for pos, dests in sigma:
+            if not 0 <= pos < n:
+                raise ValueError(f"tracked position {pos} outside stack of height {n}")
             if pos <= last:
                 raise ValueError("tracked positions must be strictly increasing")
             if not dests:
@@ -41,6 +49,11 @@ class StackState:
             if tuple(sorted(set(dests))) != dests:
                 raise ValueError(f"destination set at position {pos} not canonical")
             last = pos
+        return tuple.__new__(cls, (n, sigma))
+
+    @classmethod
+    def _make(cls, iterable) -> "StackState":
+        return cls(*iterable)  # so _replace validates too
 
     @staticmethod
     def make(n: int, tracked: Mapping[int, Iterable[int]] | None = None) -> "StackState":
@@ -63,9 +76,6 @@ class StackState:
     def top_destinations(self) -> tuple[int, ...] | None:
         """Destination set at the top of the stack, if tracked."""
         return self.get(self.n - 1) if self.n > 0 else None
-
-    def sort_key(self):
-        return (self.n, self.sigma)
 
     def render(self) -> str:
         inner = ", ".join(

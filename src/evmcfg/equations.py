@@ -195,7 +195,7 @@ class EquationSystem:
 
     def entry_contexts(self, pc: int) -> tuple[StackState, ...]:
         """Entry contexts reaching pc, in canonical order."""
-        return tuple(sorted(self.state_at(pc), key=StackState.sort_key))
+        return tuple(sorted(self.state_at(pc)))
 
 
 def initial_state() -> AbstractState:

@@ -29,6 +29,7 @@ import itertools
 import random
 from collections import deque
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .bytecode import OPCODES, JUMPI_BYTE, Program, decode_bytecode
 from .cfg import Cfg, ReplicaId
@@ -44,15 +45,11 @@ from .errors import (
 DEFAULT_MAX_STEPS = 100_000
 
 
-@dataclass(frozen=True)
-class ConcreteState:
+class ConcreteState(NamedTuple):
     """Program counter plus concrete stack with singleton tracked sets."""
 
     pc: int
     stack: StackState
-
-    def sort_key(self):
-        return (self.pc, self.stack.sort_key())
 
     def render(self) -> str:
         return f"(pc=0x{self.pc:x}, {self.stack.render()})"
@@ -164,7 +161,7 @@ def step(program: Program, state: ConcreteState) -> tuple[ConcreteState, ...]:
             successors.append(ConcreteState(dest, landed))
         if spec.byte_value == JUMPI_BYTE and program.has_instruction(instr.next_pc):
             successors.append(ConcreteState(instr.next_pc, landed))
-        return tuple(sorted(set(successors), key=ConcreteState.sort_key))
+        return tuple(sorted(set(successors)))
 
     if len(slots) < spec.delta:
         raise StackArityError(
@@ -321,8 +318,7 @@ def check_jumps_to(
             )
         )
 
-    ordered = sorted(traces.transitions, key=lambda t: (t[0].sort_key(), t[1].sort_key()))
-    for source, target in ordered:
+    for source, target in sorted(traces.transitions):
         if not _covered_by_variable(target.stack, system.state_at(target.pc)):
             violations.append(
                 Violation(

@@ -15,14 +15,6 @@ from .domain import MAX_STACK, AbstractState, StackState
 from .errors import StackArityError
 
 
-def _dup_index(byte_value: int) -> int:
-    return byte_value - 0x7F
-
-
-def _swap_index(byte_value: int) -> int:
-    return byte_value - 0x8F
-
-
 def update_stack(
     instr: Instruction, state: StackState, jumpdests: frozenset[int]
 ) -> StackState:
@@ -55,14 +47,14 @@ def update_stack(
         return StackState.make(n_out, sigma)
 
     if spec.is_dup:
-        source = n - _dup_index(spec.byte_value)
+        source = n - (spec.byte_value - 0x7F)  # DUPk copies slot n - k
         if source in sigma:
             sigma[n] = sigma[source]
         return StackState.make(n_out, sigma)
 
     if spec.is_swap:
         top = n - 1
-        low = n - _swap_index(spec.byte_value) - 1
+        low = n - (spec.byte_value - 0x8F) - 1  # SWAPk swaps with slot n - k - 1
         top_val = sigma.pop(top, None)
         low_val = sigma.pop(low, None)
         if top_val is not None:

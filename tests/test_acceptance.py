@@ -212,7 +212,7 @@ def test_acceptance_5_soundness_campaign():
 def _context_mutation(system, traces):
     """A (pc, context) pair whose removal must break state coverage."""
     block_starts = {b.start_pc for b in system.blocks}
-    for state in sorted(traces.states, key=lambda s: s.sort_key()):
+    for state in sorted(traces.states, key=lambda s: (s.pc, (s.stack.n, s.stack.sigma))):
         if state.pc not in block_starts:
             continue
         covering = [

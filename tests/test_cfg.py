@@ -9,7 +9,6 @@ import pytest
 
 from evmcfg import (
     ReplicaId,
-    StackState,
     build_cfg,
     cfg_from_json,
     decode_bytecode,
@@ -131,15 +130,16 @@ def test_replica_ids_order_by_height_then_shape(shared, two_height):
 
 
 def test_vertices_number_each_blocks_entry_contexts(shared, two_height):
-    # Per block, ids are dense from 1 and follow StackState.sort_key, and
-    # the contexts are exactly those of the solved state at the block start.
+    # Per block, ids are dense from 1 and follow the canonical order (height,
+    # then the tracked map), and the contexts are exactly those of the
+    # solved state at the block start.
     for pipeline in (shared, two_height):
         system, vertices = pipeline.system, pipeline.cfg.vertices
         for block in system.blocks:
             replicas = sorted(r for r in vertices if r.block_start == block.start_pc)
             contexts = [vertices[r] for r in replicas]
             assert [r.id for r in replicas] == list(range(1, len(replicas) + 1))
-            assert contexts == sorted(contexts, key=StackState.sort_key)
+            assert contexts == sorted(contexts, key=lambda s: (s.n, s.sigma))
             assert set(contexts) == system.state_at(block.start_pc).keys()
 
 

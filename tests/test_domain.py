@@ -72,7 +72,79 @@ def test_render():
 def test_sort_key_orders_height_first():
     low = ss(1, {0: [0xFF]})
     high = ss(2, {0: [0x03]})
-    assert sorted([high, low], key=lambda s: s.sort_key()) == [low, high]
+    assert sorted([high, low], key=old_sort_key) == [low, high]
+    assert sorted([high, low]) == [low, high]
+
+
+# The checks and the sort key of StackState as a frozen dataclass, kept as
+# the reference for the tuple-backed class.
+def old_checks(n, sigma) -> None:
+    if not 0 <= n <= MAX_STACK:
+        raise ValueError(f"stack height {n} out of range")
+    last = -1
+    for pos, dests in sigma:
+        if not 0 <= pos < n:
+            raise ValueError(f"tracked position {pos} outside stack of height {n}")
+        if pos <= last:
+            raise ValueError("tracked positions must be strictly increasing")
+        if not dests:
+            raise ValueError(f"empty destination set at position {pos}")
+        if tuple(sorted(set(dests))) != dests:
+            raise ValueError(f"destination set at position {pos} not canonical")
+        last = pos
+
+
+def old_sort_key(s: StackState):
+    return (s.n, s.sigma)
+
+
+def _rejection(make) -> str | None:
+    try:
+        make()
+    except ValueError as err:
+        return str(err)
+    return None
+
+
+@st.composite
+def raw_stacks(draw):
+    """(n, sigma) pairs near every check's boundary, valid and invalid."""
+    n = draw(st.one_of(st.integers(-2, 8), st.integers(MAX_STACK - 2, MAX_STACK + 2)))
+    dests = st.one_of(
+        st.lists(st.integers(0, 6), max_size=3).map(tuple),
+        st.lists(st.integers(0, 6), max_size=3),  # a list is never canonical
+        st.frozensets(st.integers(0, 6), min_size=1, max_size=3).map(
+            lambda d: tuple(sorted(d))
+        ),
+    )
+    pos = st.one_of(st.integers(-1, 9), st.integers(MAX_STACK - 3, MAX_STACK + 1))
+    return n, tuple(draw(st.lists(st.tuples(pos, dests), max_size=4)))
+
+
+@given(raw_stacks())
+@settings(max_examples=500)
+def test_constructor_checks_match_the_reference(raw):
+    n, sigma = raw
+    expected = _rejection(lambda: old_checks(n, sigma))
+    assert _rejection(lambda: StackState(n, sigma)) == expected
+    assert _rejection(lambda: StackState(n=n, sigma=sigma)) == expected
+    assert _rejection(lambda: StackState._make((n, sigma))) == expected
+    assert _rejection(lambda: StackState.make(0)._replace(n=n, sigma=sigma)) == expected
+    if expected is None:
+        s = StackState(n, sigma)
+        assert (s.n, s.sigma) == tuple(s) == (n, sigma)
+
+
+@given(st.lists(stack_states(), max_size=8))
+def test_natural_order_is_the_old_sort_key(states):
+    assert sorted(states) == sorted(states, key=old_sort_key)
+
+
+@given(stack_states())
+def test_stack_states_are_immutable(s: StackState):
+    for name, value in (("n", 0), ("sigma", ()), ("other", 1)):
+        with pytest.raises(AttributeError):
+            setattr(s, name, value)
 
 
 # ------------------------------------------------------------------- lattice

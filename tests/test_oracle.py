@@ -10,6 +10,8 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from evmcfg import (
     Cfg,
@@ -36,11 +38,16 @@ from evmcfg.errors import (
 )
 from evmcfg.oracle import GeneratorShape, initial_concrete_state
 
-from conftest import LINEAR_HEX, ss
+from conftest import LINEAR_HEX, ss, stack_states
 
 
 def cs(pc: int, n: int, tracked=None) -> ConcreteState:
     return ConcreteState(pc, ss(n, tracked))
+
+
+def old_sort_key(state: ConcreteState):
+    """ConcreteState's sort key when it was a frozen dataclass."""
+    return (state.pc, (state.stack.n, state.stack.sigma))
 
 
 # ---------------------------------------------------------------- stepping
@@ -172,7 +179,7 @@ def test_traces_come_out_in_canonical_order(linear, branch, shared, two_height):
     def check(traces):
         assert not traces.truncated
         assert traces.traces == tuple(
-            sorted(traces.traces, key=lambda t: [s.sort_key() for s in t])
+            sorted(traces.traces, key=lambda t: [old_sort_key(s) for s in t])
         )
 
     for fixture in (linear, branch, shared, two_height):
@@ -182,6 +189,29 @@ def test_traces_come_out_in_canonical_order(linear, branch, shared, two_height):
         seed = rng.getrandbits(32)
         program = generate_program(seed, random_shape(random.Random(seed)))
         check(enumerate_states(program))
+
+
+concrete_states = st.builds(ConcreteState, st.integers(0, 6), stack_states(max_height=3))
+
+
+@given(st.lists(concrete_states, max_size=8))
+def test_natural_order_is_the_old_sort_key(states):
+    assert sorted(states) == sorted(states, key=old_sort_key)
+
+
+@given(st.lists(st.tuples(concrete_states, concrete_states), max_size=8))
+def test_transitions_sort_by_the_old_keys(transitions):
+    # check_jumps_to walks transitions in this order.
+    assert sorted(transitions) == sorted(
+        transitions, key=lambda t: (old_sort_key(t[0]), old_sort_key(t[1]))
+    )
+
+
+@given(concrete_states)
+def test_concrete_states_are_immutable(state):
+    for name, value in (("pc", 0), ("stack", ss(0)), ("other", 1)):
+        with pytest.raises(AttributeError):
+            setattr(state, name, value)
 
 
 def test_step_budget_counts_transitions(linear):
