@@ -34,22 +34,18 @@ class OpSpec:
     alpha: int  # stack items produced
     immediate_len: int = 0
     halts: bool = False
+    # Opcode classes, fixed by byte_value and set once by __post_init__.
+    is_push: bool = field(init=False, repr=False, compare=False)
+    is_dup: bool = field(init=False, repr=False, compare=False)
+    is_swap: bool = field(init=False, repr=False, compare=False)
+    is_jump: bool = field(init=False, repr=False, compare=False)
 
-    @property
-    def is_push(self) -> bool:
-        return 0x5F <= self.byte_value <= 0x7F
-
-    @property
-    def is_dup(self) -> bool:
-        return 0x80 <= self.byte_value <= 0x8F
-
-    @property
-    def is_swap(self) -> bool:
-        return 0x90 <= self.byte_value <= 0x9F
-
-    @property
-    def is_jump(self) -> bool:
-        return self.byte_value in (JUMP_BYTE, JUMPI_BYTE)
+    def __post_init__(self):
+        b = self.byte_value
+        object.__setattr__(self, "is_push", 0x5F <= b <= 0x7F)
+        object.__setattr__(self, "is_dup", 0x80 <= b <= 0x8F)
+        object.__setattr__(self, "is_swap", 0x90 <= b <= 0x9F)
+        object.__setattr__(self, "is_jump", b in (JUMP_BYTE, JUMPI_BYTE))
 
 
 def _base_table() -> dict[int, OpSpec]:

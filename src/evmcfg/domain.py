@@ -8,6 +8,8 @@ absent from the map hold values the analysis does not track.
 A StackState is a validated tuple (n, sigma): its constructor rejects a
 malformed one, and hashing, equality and ordering are the tuple's own. Its
 natural order is the canonical one: height first, then the tracked map.
+The constructor checks, in one pass and without sorting, that positions
+strictly increase and each destination set is a tuple that strictly increases.
 
 An AbstractState is a partial map from entry StackStates (the stack shapes a
 block can be entered with) to the sets of StackStates those entries have
@@ -18,6 +20,7 @@ empty map is the least element.
 
 from __future__ import annotations
 
+from operator import lt
 from typing import Iterable, Mapping, NamedTuple
 
 MAX_STACK = 1024
@@ -46,7 +49,9 @@ class StackState(_Stack):
                 raise ValueError("tracked positions must be strictly increasing")
             if not dests:
                 raise ValueError(f"empty destination set at position {pos}")
-            if tuple(sorted(set(dests))) != dests:
+            if not isinstance(dests, tuple) or (
+                len(dests) > 1 and not all(map(lt, dests, dests[1:]))
+            ):
                 raise ValueError(f"destination set at position {pos} not canonical")
             last = pos
         return tuple.__new__(cls, (n, sigma))

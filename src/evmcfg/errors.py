@@ -71,7 +71,8 @@ class InvalidTargetError(AnalysisError):
 
 
 class BudgetExceededError(AnalysisError):
-    """A block would be entered at more stack heights than the solver allows."""
+    """A block would be entered at more than MAX_ENTRY_HEIGHTS stack heights
+    or with more than MAX_ENTRY_CONTEXTS entry contexts (see equations.py)."""
 
     kind = "budget_exceeded"
 

@@ -1,7 +1,8 @@
 """Executable reference semantics and differential soundness checks.
 
-This module runs bytecode directly, modelling the stack as a concrete list
-whose slots hold either an untracked value or a set of jump destinations.
+This module runs bytecode directly on a concrete stack: a StackState whose
+tracked slots hold the jump destinations a value may be, and whose other
+slots hold untracked values.
 JUMPI explores both branches, so the reachable state set over-approximates
 any single run while staying finite for loop-free code. The two checkers
 compare those runs against the static results:
@@ -107,17 +108,12 @@ class Verdict:
         }
 
 
-def _stack_to_slots(stack: StackState) -> list[tuple[int, ...] | None]:
-    slots: list[tuple[int, ...] | None] = [None] * stack.n
-    for pos, dests in stack.sigma:
-        slots[pos] = dests
-    return slots
-
-
-def _slots_to_stack(slots: list[tuple[int, ...] | None]) -> StackState:
-    return StackState.make(
-        len(slots), {i: v for i, v in enumerate(slots) if v is not None}
-    )
+def _first_at_or_above(sigma: tuple, pos: int) -> int:
+    """Index of the lowest tracked slot at position pos or higher."""
+    i = len(sigma)
+    while i and sigma[i - 1][0] >= pos:
+        i -= 1
+    return i
 
 
 def step(program: Program, state: ConcreteState) -> tuple[ConcreteState, ...]:
@@ -132,24 +128,25 @@ def step(program: Program, state: ConcreteState) -> tuple[ConcreteState, ...]:
     if spec.halts:
         return ()
 
-    slots = _stack_to_slots(state.stack)
+    # The tracked slots, bottom first, so a tracked top slot comes last.
+    n, sigma = state.stack
 
     if spec.is_jump:
-        if not slots or slots[-1] is None:
+        if not sigma or sigma[-1][0] != n - 1:
             raise StuckStateError(
                 f"{spec.mnemonic} at pc 0x{instr.pc:x} pops an untracked"
-                f" jump target (stack height {len(slots)})",
+                f" jump target (stack height {n})",
                 pc=instr.pc,
             )
-        targets = slots[-1]
-        if len(slots) < spec.delta:
+        targets = sigma[-1][1]
+        if n < spec.delta:
             raise StackArityError(
                 f"{spec.mnemonic} at pc 0x{instr.pc:x} needs {spec.delta}"
-                f" stack items, found {len(slots)}",
+                f" stack items, found {n}",
                 pc=instr.pc,
             )
-        del slots[len(slots) - spec.delta :]
-        landed = _slots_to_stack(slots)
+        floor = n - spec.delta
+        landed = StackState(floor, sigma[: _first_at_or_above(sigma, floor)])
         successors = []
         for dest in targets:
             if dest not in program.jumpdests:
@@ -163,34 +160,42 @@ def step(program: Program, state: ConcreteState) -> tuple[ConcreteState, ...]:
             successors.append(ConcreteState(instr.next_pc, landed))
         return tuple(sorted(set(successors)))
 
-    if len(slots) < spec.delta:
+    if n < spec.delta:
         raise StackArityError(
             f"{spec.mnemonic} at pc 0x{instr.pc:x} needs {spec.delta} stack"
-            f" items, found {len(slots)}",
+            f" items, found {n}",
             pc=instr.pc,
         )
-    if len(slots) - spec.delta + spec.alpha > MAX_STACK:
+    n_out = n - spec.delta + spec.alpha
+    if n_out > MAX_STACK:
         raise StackArityError(
             f"{spec.mnemonic} at pc 0x{instr.pc:x} overflows the stack",
             pc=instr.pc,
         )
+    if not program.has_instruction(instr.next_pc):
+        return ()
 
     if spec.is_push:
         value = instr.push_value()
-        slots.append((value,) if value in program.jumpdests else None)
+        if value in program.jumpdests:
+            sigma += ((n, (value,)),)
     elif spec.is_dup:
-        slots.append(slots[-(spec.byte_value - 0x7F)])
+        source = n - (spec.byte_value - 0x7F)
+        i = _first_at_or_above(sigma, source)
+        if i < len(sigma) and sigma[i][0] == source:
+            sigma += ((n, sigma[i][1]),)
     elif spec.is_swap:
-        k = spec.byte_value - 0x8F
-        slots[-1], slots[-k - 1] = slots[-k - 1], slots[-1]
+        top, low = n - 1, n - (spec.byte_value - 0x8F) - 1
+        lo, hi = _first_at_or_above(sigma, low), _first_at_or_above(sigma, top)
+        mid = lo + (lo < hi and sigma[lo][0] == low)  # past a tracked low slot
+        sigma = (
+            sigma[:lo] + tuple((low, dests) for _, dests in sigma[hi:])
+            + sigma[mid:hi] + tuple((top, dests) for _, dests in sigma[lo:mid])
+        )
     else:
-        if spec.delta:
-            del slots[len(slots) - spec.delta :]
-        slots.extend([None] * spec.alpha)
+        sigma = sigma[: _first_at_or_above(sigma, n - spec.delta)]
 
-    if not program.has_instruction(instr.next_pc):
-        return ()
-    return (ConcreteState(instr.next_pc, _slots_to_stack(slots)),)
+    return (ConcreteState(instr.next_pc, StackState(n_out, sigma)),)
 
 
 def initial_concrete_state() -> ConcreteState:
@@ -292,6 +297,10 @@ def _stack_covered(concrete: StackState, abstract: StackState) -> bool:
 
 
 def _covered_by_variable(stack: StackState, variable: AbstractState) -> bool:
+    # A recorded member equal to the stack covers it; most stacks have one.
+    for members in variable.values():
+        if stack in members:
+            return True
     for members in variable.values():
         for member in members:
             if _stack_covered(stack, member):

@@ -6,9 +6,17 @@ and tracked destination sets are created by PUSHes of jump landing pcs,
 copied by DUP, repositioned by SWAP, and dropped when the positions holding
 them are consumed. transfer lifts update_stack over every entry context of
 an AbstractState, keeping the context keys fixed.
+
+update_stack builds the successor's tracked tuple from the input's, which is
+sorted by position, so it comes out sorted: PUSH and DUP append at position
+n, above every tracked one; SWAP moves only its two slots; every other
+instruction keeps the prefix below its consumed slots. Destination sets are
+shared, never rebuilt, so they stay canonical.
 """
 
 from __future__ import annotations
+
+from bisect import bisect_left
 
 from .bytecode import Instruction
 from .domain import MAX_STACK, AbstractState, StackState
@@ -38,37 +46,36 @@ def update_stack(
             pc=instr.pc,
         )
 
-    sigma = state.tracked()
-
+    sigma = state.sigma
     if spec.is_push:
         value = instr.push_value()
         if value in jumpdests:
-            sigma[n] = (value,)
-        return StackState.make(n_out, sigma)
-
-    if spec.is_dup:
+            sigma += ((n, (value,)),)
+    elif spec.is_dup:
         source = n - (spec.byte_value - 0x7F)  # DUPk copies slot n - k
-        if source in sigma:
-            sigma[n] = sigma[source]
-        return StackState.make(n_out, sigma)
-
-    if spec.is_swap:
+        i = bisect_left(sigma, (source,))
+        if i < len(sigma) and sigma[i][0] == source:
+            sigma += ((n, sigma[i][1]),)
+    elif spec.is_swap:
         top = n - 1
         low = n - (spec.byte_value - 0x8F) - 1  # SWAPk swaps with slot n - k - 1
-        top_val = sigma.pop(top, None)
-        low_val = sigma.pop(low, None)
-        if top_val is not None:
-            sigma[low] = top_val
-        if low_val is not None:
-            sigma[top] = low_val
-        return StackState.make(n_out, sigma)
-
-    # Everything else, jumps included, only consumes tracked positions:
-    # entries at the delta consumed slots disappear, produced slots are
-    # untracked, and entries below the consumed region keep their indices.
-    floor = n - spec.delta
-    sigma = {pos: dests for pos, dests in sigma.items() if pos < floor}
-    return StackState.make(n_out, sigma)
+        i = bisect_left(sigma, (low,))
+        below, rest = sigma[:i], sigma[i:]
+        low_slot = ()
+        if rest and rest[0][0] == low:
+            low_slot = ((top, rest[0][1]),)
+            rest = rest[1:]
+        top_slot = ()
+        if rest and rest[-1][0] == top:
+            top_slot = ((low, rest[-1][1]),)
+            rest = rest[:-1]
+        sigma = below + top_slot + rest + low_slot
+    else:
+        # Everything else, jumps included, only consumes tracked positions:
+        # entries at the delta consumed slots disappear, produced slots are
+        # untracked, and entries below the consumed region keep their indices.
+        sigma = sigma[: bisect_left(sigma, (n - spec.delta,))]
+    return StackState(n_out, sigma)
 
 
 def transfer(

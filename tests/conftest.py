@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 import evmcfg
 from evmcfg import Analysis, StackState, analyze
+from evmcfg.domain import MAX_STACK
 
 LINEAR_HEX = "6003565b00"
 BRANCH_HEX = "6001600657005b00"
@@ -90,6 +91,21 @@ def stack_states(draw, max_height: int = 6) -> StackState:
         st.lists(st.integers(0, n - 1), unique=True, min_size=0, max_size=n)
     )
     return StackState.make(n, {pos: draw(dest_sets()) for pos in positions})
+
+
+@st.composite
+def kernel_stacks(draw, dests: st.SearchStrategy | None = None) -> StackState:
+    """Stacks at heights 0-24 or 1000-1024 whose tracked slots gather near the
+    top, where DUP, SWAP and the consumers act, with 1-3 destinations each."""
+    n = draw(st.one_of(st.integers(0, 24), st.integers(MAX_STACK - 24, MAX_STACK)))
+    if n == 0:
+        return StackState.make(0)
+    near_top = st.integers(max(0, n - 19), n - 1)
+    positions = draw(
+        st.lists(st.one_of(near_top, st.integers(0, n - 1)), unique=True, max_size=10)
+    )
+    dests = dest_sets() if dests is None else dests
+    return StackState.make(n, {pos: draw(dests) for pos in positions})
 
 
 @st.composite

@@ -1,8 +1,8 @@
 """Concrete reference stepper, differential checkers, program generator.
 
-The stepper keeps its own list-of-slots stack representation on purpose:
-agreement with the dict-based per-instruction effect is one of the things
-under test here, so only one side may delegate to the other.
+The stepper keeps its own stack effects on purpose: agreement with the
+transfer module's per-instruction effect is one of the things under test
+here, so only one side may delegate to the other.
 """
 
 from __future__ import annotations
@@ -10,7 +10,7 @@ from __future__ import annotations
 import random
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from evmcfg import (
@@ -36,9 +36,11 @@ from evmcfg.errors import (
     StackArityError,
     StuckStateError,
 )
+from evmcfg.bytecode import JUMPI_BYTE
+from evmcfg.domain import MAX_STACK, StackState
 from evmcfg.oracle import GeneratorShape, initial_concrete_state
 
-from conftest import LINEAR_HEX, ss, stack_states
+from conftest import LINEAR_HEX, kernel_stacks, ss, stack_states
 
 
 def cs(pc: int, n: int, tracked=None) -> ConcreteState:
@@ -109,6 +111,111 @@ def test_step_underflow():
     program = decode_bytecode("5b600057")
     with pytest.raises(StackArityError):
         step(program, cs(3, 1, {0: [0x00]}))
+
+
+# The stepper as it was, over a list with one slot per stack position; the
+# reference for the one that works on the sorted tracked tuple.
+def _stack_to_slots(stack):
+    slots = [None] * stack.n
+    for pos, dests in stack.sigma:
+        slots[pos] = dests
+    return slots
+
+
+def _slots_to_stack(slots):
+    return StackState.make(
+        len(slots), {i: v for i, v in enumerate(slots) if v is not None}
+    )
+
+
+def old_step(program, state):
+    instr = program.instruction_at(state.pc)
+    spec = instr.spec
+    if spec.halts:
+        return ()
+    slots = _stack_to_slots(state.stack)
+    if spec.is_jump:
+        if not slots or slots[-1] is None:
+            raise StuckStateError(
+                f"{spec.mnemonic} at pc 0x{instr.pc:x} pops an untracked"
+                f" jump target (stack height {len(slots)})",
+                pc=instr.pc,
+            )
+        targets = slots[-1]
+        if len(slots) < spec.delta:
+            raise StackArityError(
+                f"{spec.mnemonic} at pc 0x{instr.pc:x} needs {spec.delta}"
+                f" stack items, found {len(slots)}",
+                pc=instr.pc,
+            )
+        del slots[len(slots) - spec.delta :]
+        landed = _slots_to_stack(slots)
+        successors = []
+        for dest in targets:
+            if dest not in program.jumpdests:
+                raise InvalidJumpError(
+                    f"jump at pc 0x{instr.pc:x} lands on 0x{dest:x}, which"
+                    f" is not a JUMPDEST",
+                    pc=instr.pc,
+                )
+            successors.append(ConcreteState(dest, landed))
+        if spec.byte_value == JUMPI_BYTE and program.has_instruction(instr.next_pc):
+            successors.append(ConcreteState(instr.next_pc, landed))
+        return tuple(sorted(set(successors)))
+    if len(slots) < spec.delta:
+        raise StackArityError(
+            f"{spec.mnemonic} at pc 0x{instr.pc:x} needs {spec.delta} stack"
+            f" items, found {len(slots)}",
+            pc=instr.pc,
+        )
+    if len(slots) - spec.delta + spec.alpha > MAX_STACK:
+        raise StackArityError(
+            f"{spec.mnemonic} at pc 0x{instr.pc:x} overflows the stack",
+            pc=instr.pc,
+        )
+    if spec.is_push:
+        value = instr.push_value()
+        slots.append((value,) if value in program.jumpdests else None)
+    elif spec.is_dup:
+        slots.append(slots[-(spec.byte_value - 0x7F)])
+    elif spec.is_swap:
+        k = spec.byte_value - 0x8F
+        slots[-1], slots[-k - 1] = slots[-k - 1], slots[-1]
+    else:
+        if spec.delta:
+            del slots[len(slots) - spec.delta :]
+        slots.extend([None] * spec.alpha)
+    if not program.has_instruction(instr.next_pc):
+        return ()
+    return (ConcreteState(instr.next_pc, _slots_to_stack(slots)),)
+
+
+def step_outcome(stepper, program, state):
+    """The successors, or the type, pc and message of the step's error."""
+    try:
+        return stepper(program, state)
+    except AnalysisError as err:
+        return (type(err), err.pc, err.message)
+
+
+@given(
+    kernel_stacks(st.frozensets(st.integers(0, 12), min_size=1, max_size=3)),
+    st.lists(st.sampled_from((0x5B, 0x5B, 0x00, 0x50)), max_size=6),
+    st.integers(0, 2**256 - 1),
+)
+@settings(max_examples=150)
+def test_step_matches_the_old_stepper(stack, tail, value):
+    # Each opcode byte runs at pc 0 of its own program: the byte, an
+    # immediate holding value cut to its width, then tail, whose JUMPDESTs
+    # are the only landings; value and the stack's targets may miss them.
+    for byte in range(256):
+        width = max(0, byte - 0x5F) if 0x60 <= byte <= 0x7F else 0
+        immediate = (value % 256**width).to_bytes(width, "big")
+        program = decode_bytecode((bytes((byte,)) + immediate + bytes(tail)).hex())
+        state = ConcreteState(0, stack)
+        assert step_outcome(step, program, state) == step_outcome(
+            old_step, program, state
+        )
 
 
 # -------------------------------------------------------------- enumeration

@@ -7,10 +7,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from evmcfg import decode_bytecode, join, leq, transfer, update_stack
+from evmcfg.bytecode import Instruction
 from evmcfg.domain import MAX_STACK, StackState
 from evmcfg.errors import StackArityError
 
-from conftest import ss, stack_states
+from conftest import DEST_POOL, kernel_stacks, ss, stack_states
 
 
 def instr(hex_text: str, pc: int = 0):
@@ -279,3 +280,76 @@ def test_swap_involution(state: StackState):
         return
     swap1 = instr("90")
     assert update_stack(swap1, update_stack(swap1, state, J), J) == state
+
+
+# ------------------------------------------------- the old kernel, reference
+
+def old_update_stack(instr, state, jumpdests):
+    """update_stack as it was, through a dict and StackState.make."""
+    spec = instr.spec
+    n = state.n
+    if n < spec.delta:
+        raise StackArityError(
+            f"{spec.mnemonic} at pc 0x{instr.pc:x} needs {spec.delta} stack"
+            f" items, found {n}",
+            pc=instr.pc,
+        )
+    n_out = n - spec.delta + spec.alpha
+    if n_out > MAX_STACK:
+        raise StackArityError(
+            f"{spec.mnemonic} at pc 0x{instr.pc:x} overflows the stack"
+            f" ({n_out} > {MAX_STACK})",
+            pc=instr.pc,
+        )
+    sigma = state.tracked()
+    if spec.is_push:
+        value = instr.push_value()
+        if value in jumpdests:
+            sigma[n] = (value,)
+        return StackState.make(n_out, sigma)
+    if spec.is_dup:
+        source = n - (spec.byte_value - 0x7F)
+        if source in sigma:
+            sigma[n] = sigma[source]
+        return StackState.make(n_out, sigma)
+    if spec.is_swap:
+        top = n - 1
+        low = n - (spec.byte_value - 0x8F) - 1
+        top_val = sigma.pop(top, None)
+        low_val = sigma.pop(low, None)
+        if top_val is not None:
+            sigma[low] = top_val
+        if low_val is not None:
+            sigma[top] = low_val
+        return StackState.make(n_out, sigma)
+    floor = n - spec.delta
+    sigma = {pos: dests for pos, dests in sigma.items() if pos < floor}
+    return StackState.make(n_out, sigma)
+
+
+SPECS = [decode_bytecode(f"{byte:02x}").instructions[0].spec for byte in range(256)]
+
+
+def outcome(kernel, *args):
+    """The kernel's result, or the type, pc and message of its error."""
+    try:
+        return kernel(*args)
+    except StackArityError as err:
+        return (type(err), err.pc, err.message)
+
+
+@given(
+    kernel_stacks(),
+    st.frozensets(st.sampled_from(DEST_POOL + (0x00,)), max_size=4),
+    st.integers(0, 0xFFFF),
+    st.one_of(st.sampled_from(DEST_POOL + (0x00,)), st.integers(0, 2**256 - 1)),
+)
+@settings(max_examples=300)
+def test_update_stack_matches_the_old_kernel(state, jumpdests, pc, value):
+    # Every opcode byte on the same state; a PUSH pushes value cut to its width.
+    for spec in SPECS:
+        width = spec.immediate_len
+        ins = Instruction(pc, spec, value % 256**width if width else None)
+        assert outcome(update_stack, ins, state, jumpdests) == outcome(
+            old_update_stack, ins, state, jumpdests
+        )
