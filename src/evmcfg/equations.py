@@ -24,30 +24,22 @@ build_cfg also turns into the graph's edges.
 Every block start receives only fresh entry contexts, and a block body is
 straight-line code, so each entry context has exactly one member at every
 pc of its block. The worklist solver therefore moves entry contexts
-between block starts, one pop per (block, context) pair. It summarises
-each block body, without its last instruction, once: when the first
-context that can run the body arrives. The summary comes from update_stack
-itself, so there is no second stack semantics: it is run on a probe of
-height depth (the items the body reads below the entry top) whose slot p
-holds the marker destination code_len + p. A marker is never a jump
-landing, so it cannot be mistaken for a pushed one. In each resulting
-probe state, a slot holding a marker copies that slot of the entry, and
-any other tracked slot holds a pushed landing. A context of height n with
-n >= depth and n + peak <= MAX_STACK (peak being the body's highest rise)
-takes the last probe state's moves. Any other context cannot run the body,
-and stepping it through transfer raises the StackArityError, pc and entry
-context included, that a per-instruction pass raises. The last instruction
-then leaves the block through block_exits.
+between block starts, one pop per (block, context) pair. Each popped
+context is stepped once through its block body but the last instruction,
+by update_stack; the last instruction then leaves the block through
+block_exits. An arity error names its pc and the entry context, as one
+raised through transfer does.
 
 The worklist solver stores states only at block starts and last
 instructions. EquationSystem.state_at derives a block's interior states on
-first request, from the other probe states, and keeps them. The naive
+first request, by transfer from the block start, and keeps them. The naive
 solver fills every pc: each round sweeps every per-instruction constraint
 in pc order, joining each contribution into its target at once
-(Gauss-Seidel), and it stops after a round that changes nothing. It
-shares no summary with the worklist solver, which keeps it an independent
-reference. verify_fixpoint likewise re-evaluates every per-instruction
-constraint over state_at, so it checks every derived interior state.
+(Gauss-Seidel), and it stops after a round that changes nothing. Its
+per-pc sweep shares none of the worklist's block-level stepping, which
+keeps it an independent reference. verify_fixpoint likewise re-evaluates
+every per-instruction constraint over state_at, so it checks every
+derived interior state.
 
 Both solvers stop an input whose entry contexts grow without bound. A block
 may be entered at no more than MAX_ENTRY_HEIGHTS distinct stack heights and
@@ -67,14 +59,15 @@ from typing import Callable, Iterable, Mapping, NamedTuple
 
 from .blocks import Block, Terminator, partition_blocks
 from .bytecode import Instruction, JUMPI_BYTE, Program
-from .domain import MAX_STACK, AbstractState, StackState, bottom, idmap, join, leq
+from .domain import AbstractState, StackState, bottom, idmap, join, leq
 from .errors import (
     AnalysisError,
     BudgetExceededError,
     InvalidTargetError,
+    StackArityError,
     UnresolvedJumpError,
 )
-from .transfer import transfer, update_stack
+from .transfer import transfer, update_stack, with_entry_context
 
 __all__ = [
     "MAX_ENTRY_CONTEXTS",
@@ -124,7 +117,7 @@ class EquationSystem:
 
     states holds the computed states: every pc under the naive solver,
     block starts and last instructions under the worklist solver. state_at
-    derives and adds the rest.
+    derives the rest by transfer from their block start, and adds them.
     """
 
     program: Program
@@ -132,10 +125,6 @@ class EquationSystem:
     unreached: frozenset[int]
     states: dict[int, AbstractState]
     solve_stats: SolveStats
-    # Block start -> summary of its body, as the worklist solver left them.
-    _summaries: dict[int, _Summary] = field(
-        default_factory=dict, repr=False, compare=False
-    )
     # pc -> its block (None for an unreached pc), built on first derivation.
     _block_at: dict[int, Block | None] | None = field(
         default=None, repr=False, compare=False
@@ -159,26 +148,12 @@ class EquationSystem:
         if block is None:
             return self.states.setdefault(pc, bottom())
         state = self.states.setdefault(block.start_pc, bottom())
-        interior = block.body[1:-1]
-        summary = self._summaries.get(block.start_pc)
-        if summary is not None and all(
-            summary.fits(member) for members in state.values() for member in members
-        ):
-            for ins, probe in zip(interior, summary.probes):
-                self.states.setdefault(
-                    ins.pc,
-                    {
-                        key: frozenset([summary.apply(probe, m) for m in members])
-                        for key, members in state.items()
-                    },
-                )
-        else:
-            # No summary (a block the solver never entered) or a doctored
-            # entry state: transfer it through the body.
-            for prev, ins in zip(block.body, interior):
-                state = self.states.setdefault(
-                    ins.pc, transfer(prev, state, self.program.jumpdests)
-                )
+        # Each interior state is its predecessor's, transferred; a block the
+        # solver never entered stays at bottom throughout.
+        for prev, ins in zip(block.body, block.body[1:-1]):
+            state = self.states.setdefault(
+                ins.pc, transfer(prev, state, self.program.jumpdests)
+            )
         self.states.setdefault(block.end_pc, bottom())
         return self.states[pc]
 
@@ -247,7 +222,10 @@ def block_exits(
         return []
     out = []
     for key, member, dests in members:
-        landed = update_stack(instr, member, jumpdests)
+        try:
+            landed = update_stack(instr, member, jumpdests)
+        except StackArityError as err:
+            raise with_entry_context(err, key) from None
         for dest in dests:
             if dest not in jumpdests:
                 raise InvalidTargetError(
@@ -280,9 +258,7 @@ def contributions(
     if not program.has_instruction(instr.next_pc):
         # Running off the end moves nowhere, but the instruction still runs:
         # each member's stack effect is checked, then dropped.
-        for members in pi.values():
-            for member in members:
-                update_stack(instr, member, program.jumpdests)
+        transfer(instr, pi, program.jumpdests)
         return []
     return [(instr.next_pc, transfer(instr, pi, program.jumpdests))]
 
@@ -316,90 +292,16 @@ def _check_entry_budget(
         contexts += 1
 
 
-class _Summary(NamedTuple):
-    """Stack effect of a block body without its last instruction.
-
-    The moves are read off the probe states: a probe slot holding
-    marker + p copies slot p of the entry's read region (the depth items
-    below its top), and any other tracked probe slot holds a pushed landing.
-    """
-
-    depth: int  # items read below the entry top
-    peak: int  # highest rise above the entry height
-    marker: int  # the program's code_len
-    # The probe after each instruction of the body, so the last one gives
-    # the body's effect and the others the states inside the block.
-    probes: tuple[StackState, ...]
-
-    def fits(self, s: StackState) -> bool:
-        """Whether s runs the whole body without an arity error."""
-        return self.depth <= s.n <= MAX_STACK - self.peak
-
-    def apply(self, probe: StackState, s: StackState) -> StackState:
-        """s after the instructions that turned the probe into probe."""
-        base = s.n - self.depth
-        sigma = [slot for slot in s.sigma if slot[0] < base]
-        tracked = dict(s.sigma)
-        for q, dests in probe.sigma:
-            if dests[0] >= self.marker:
-                dests = tracked.get(base + dests[0] - self.marker)
-                if dests is None:
-                    continue
-            sigma.append((base + q, dests))
-        return StackState(base + probe.n, tuple(sigma))
-
-
-def _reach(body: tuple[Instruction, ...]) -> tuple[int, int]:
-    """body's depth and peak: the items it reads below the entry top, and
-    its highest rise above the entry height."""
-    rise = depth = peak = 0
-    for ins in body:
-        depth = max(depth, ins.spec.delta - rise)
-        rise += ins.spec.alpha - ins.spec.delta
-        peak = max(peak, rise)
-    return depth, peak
-
-
-def _summarise(
-    program: Program, body: tuple[Instruction, ...], depth: int, peak: int
-) -> _Summary:
-    """body's summary, given its depth and peak; depth + peak must not pass
-    MAX_STACK, as a context that runs the body shows."""
-    marker = program.code_len
-    state = StackState(depth, tuple((p, (marker + p,)) for p in range(depth)))
-    probes = []
-    for ins in body:
-        state = update_stack(ins, state, program.jumpdests)
-        probes.append(state)
-    return _Summary(depth, peak, marker, tuple(probes))
-
-
-def _run_body(
-    program: Program, body: tuple[Instruction, ...], summary: _Summary | None,
-    key: StackState,
-) -> StackState:
-    """The member of entry context key after body, summarised by summary."""
-    if summary is not None and summary.fits(key):
-        return summary.apply(summary.probes[-1], key)
-    # Outside the summary's range the body cannot run: stepping it raises
-    # the arity error of a per-instruction pass, entry context included.
-    pi = idmap(key)
-    for ins in body:
-        pi = transfer(ins, pi, program.jumpdests)
-    (member,) = pi[key]
-    return member
-
-
 def _solve_worklist(
     program: Program,
     blocks: tuple[Block, ...],
     states: dict[int, AbstractState],
     heights: dict[int, set[int]],
-    summaries: dict[int, _Summary],
     stats: SolveStats,
     record: bool,
     trace: Callable[[str], None] | None,
 ) -> None:
+    jumpdests = program.jumpdests
     by_start = {block.start_pc: block for block in blocks}
     # (block start, entry context) pairs not yet moved through their block.
     pending = deque((0, key) for key in states[0])
@@ -407,22 +309,21 @@ def _solve_worklist(
         start, key = pending.popleft()
         stats.pops += 1
         block = by_start[start]
-        body = block.body[:-1]
+        code_end = block.terminator is Terminator.CODE_END
         end = key
-        if body:
-            summary = summaries.get(start)
-            if summary is None:
-                # Summarise on the first context that runs the body; one
-                # that cannot makes _run_body raise, which ends the solve.
-                depth, peak = _reach(body)
-                if depth <= key.n <= MAX_STACK - peak:
-                    summary = summaries[start] = _summarise(program, body, depth, peak)
-            end = _run_body(program, body, summary, key)
+        try:
+            for ins in block.body[:-1]:
+                end = update_stack(ins, end, jumpdests)
+            if code_end:
+                # Running off the end moves nowhere, but the last
+                # instruction still runs.
+                update_stack(block.last, end, jumpdests)
+        except StackArityError as err:
+            raise with_entry_context(err, key) from None
         ended = {key: frozenset((end,))}
-        if body:
+        if len(block.body) > 1:
             states.setdefault(block.end_pc, {}).update(ended)
-        if block.terminator is Terminator.CODE_END:
-            update_stack(block.last, end, program.jumpdests)
+        if code_end:
             continue
         for _key, _kind, target, landed in block_exits(program, block.last, ended):
             held = states.setdefault(target, {})
@@ -499,12 +400,9 @@ def solve(
     # Stack heights each block is entered at, kept as contexts arrive.
     heights = {block.start_pc: set() for block in blocks}
     heights[0].add(0)
-    summaries: dict[int, _Summary] = {}
     if mode == "worklist":
         states = {0: initial_state()}
-        _solve_worklist(
-            program, blocks, states, heights, summaries, stats, record, trace
-        )
+        _solve_worklist(program, blocks, states, heights, stats, record, trace)
     else:
         states = {ins.pc: bottom() for ins in program.instructions}
         states[0] = initial_state()
@@ -518,7 +416,6 @@ def solve(
         unreached=unreached,
         states=states,
         solve_stats=stats,
-        _summaries=summaries,
     )
 
 

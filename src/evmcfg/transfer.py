@@ -78,6 +78,13 @@ def update_stack(
     return StackState(n_out, sigma)
 
 
+def with_entry_context(err: StackArityError, key: StackState) -> StackArityError:
+    """err, raised under entry context key, with that context named."""
+    return StackArityError(
+        f"{err.message} (entry context {key.render()})", pc=err.pc
+    )
+
+
 def transfer(
     instr: Instruction, pi: AbstractState, jumpdests: frozenset[int]
 ) -> AbstractState:
@@ -89,9 +96,6 @@ def transfer(
             try:
                 updated.append(update_stack(instr, member, jumpdests))
             except StackArityError as err:
-                raise StackArityError(
-                    f"{err.message} (entry context {key.render()})",
-                    pc=err.pc,
-                ) from None
+                raise with_entry_context(err, key) from None
         out[key] = frozenset(updated)
     return out

@@ -22,17 +22,12 @@ from evmcfg import (
     initial_state,
     leq,
     solve,
-    update_stack,
     verify_fixpoint,
 )
-from evmcfg.domain import MAX_STACK, StackState
 from evmcfg.equations import (
     MAX_ENTRY_CONTEXTS,
     MAX_ENTRY_HEIGHTS,
     _check_entry_budget,
-    _reach,
-    _run_body,
-    _summarise,
     contributions,
 )
 from evmcfg.errors import (
@@ -43,7 +38,7 @@ from evmcfg.errors import (
     UnresolvedJumpError,
 )
 
-from conftest import dest_sets, shift_register_hex, ss
+from conftest import shift_register_hex, ss
 
 
 def full_solution(system):
@@ -404,11 +399,11 @@ def test_trace_callback_fires():
 
 def test_worklist_steps_each_instruction_once_per_block(monkeypatch):
     # update_stack is bound in transfer (used by transfer()) and in
-    # equations (used by the summaries and block_exits); count calls
+    # equations (used by the worklist and block_exits); count calls
     # through both. The modules come from sys.modules because
-    # evmcfg.transfer names the function. Each block body is summarised
-    # once (one call per instruction but the last), and each replica
-    # leaves its block through one call.
+    # evmcfg.transfer names the function. Every (replica, instruction)
+    # pair is stepped exactly once, except a halting last instruction,
+    # which is not stepped at all.
     original = sys.modules["evmcfg.transfer"].update_stack
     calls = 0
 
@@ -422,8 +417,11 @@ def test_worklist_steps_each_instruction_once_per_block(monkeypatch):
     shape = GeneratorShape(branch_count=50, callee_count=10, sites_per_callee=5)
     program = generate_program(1, shape)
     system = solve(program)
-    replicas = sum(len(system.state_at(b.start_pc)) for b in system.blocks)
-    assert 0 < calls <= len(program.instructions) - len(system.blocks) + replicas
+    expected = 0
+    for b in system.blocks:
+        steps = len(b.body) - (1 if b.last.spec.halts else 0)
+        expected += len(system.state_at(b.start_pc)) * steps
+    assert calls == expected == 2121
 
 
 def test_worklist_pops_counted(shared, two_height):
@@ -433,7 +431,7 @@ def test_worklist_pops_counted(shared, two_height):
         assert stats.iterations == stats.pops
 
 
-# ------------------------------------------------------------ block summaries
+# ------------------------------------------------------- straight-line bodies
 
 # ADD SUB ADDMOD ISZERO NOT CALLDATASIZE PC PUSH0 POP MSTORE CALL
 OTHER_OPS = (0x01, 0x03, 0x08, 0x15, 0x19, 0x36, 0x58, 0x5F, 0x50, 0x52, 0xF1)
@@ -443,8 +441,7 @@ LANDINGS = 4  # JUMPDESTs after the body
 @st.composite
 def straight_line_bodies(draw):
     """A program of 1 to 40 straight-line instructions followed by LANDINGS
-    JUMPDESTs, and its body. PUSH2s push a landing or any value up to 0x1ff,
-    which covers the summary's marker values too."""
+    JUMPDESTs. PUSH2s push a landing or any value up to 0x1ff."""
     ops = draw(
         st.lists(
             st.one_of(
@@ -465,43 +462,43 @@ def straight_line_bodies(draw):
         else:
             code.append(0x61)
             code += (size + arg if kind == "landing" else arg).to_bytes(2, "big")
-    program = decode_bytecode((code + bytes([0x5B]) * LANDINGS).hex())
-    return program, tuple(ins for ins in program.instructions if ins.pc < size)
+    return decode_bytecode((code + bytes([0x5B]) * LANDINGS).hex())
 
 
-@st.composite
-def entry_contexts(draw):
-    """Contexts near the empty and the full stack, tracked near the top."""
-    n = draw(st.one_of(st.integers(0, 24), st.integers(MAX_STACK - 24, MAX_STACK)))
-    if n == 0:
-        return StackState.make(0)
-    positions = draw(st.lists(st.integers(max(0, n - 24), n - 1), unique=True, max_size=8))
-    return StackState.make(n, {pos: draw(dest_sets()) for pos in positions})
-
-
-@given(straight_line_bodies(), entry_contexts())
-@settings(max_examples=400)
-def test_summary_equals_stepping(drawn, key):
-    program, body = drawn
-    depth, peak = _reach(body)
-    # A summary exists once some context runs the body.
-    summary = _summarise(program, body, depth, peak) if depth + peak <= MAX_STACK else None
-    stepped = [key]
+def _outcome(program, mode):
+    """state_at at every pc, or the StackArityError's pc and message."""
     try:
-        for ins in body:
-            stepped.append(update_stack(ins, stepped[-1], program.jumpdests))
+        system = solve(program, mode=mode)
     except StackArityError as err:
-        # Outside the summary's range: the stepped error, entry context added.
-        assert not depth <= key.n <= MAX_STACK - peak
-        with pytest.raises(StackArityError) as exc:
-            _run_body(program, body, summary, key)
-        assert exc.value.pc == err.pc
-        assert exc.value.message == f"{err.message} (entry context {key.render()})"
-        return
-    assert summary is not None and summary.fits(key)
-    # Every probe, the last one (the block end) and those inside the block.
-    assert [summary.apply(probe, key) for probe in summary.probes] == stepped[1:]
-    assert _run_body(program, body, summary, key) == stepped[-1]
+        return err.pc, err.message
+    return {ins.pc: system.state_at(ins.pc) for ins in program.instructions}
+
+
+@given(straight_line_bodies())
+@settings(max_examples=400)
+def test_worklist_equals_naive_on_straight_line_bodies(program):
+    # The worklist steps the body once per context and derives its interior
+    # states; the naive solver steps every pc. Both give the same states,
+    # or the same arity error, entry context included.
+    assert _outcome(program, "worklist") == _outcome(program, "naive")
+
+
+@pytest.mark.parametrize("mode", ["worklist", "naive"])
+@pytest.mark.parametrize(
+    "hex_text, pc",
+    [
+        pytest.param("01", 0x0, id="add-off-the-end"),
+        pytest.param("0100", 0x0, id="add-in-its-block"),
+        pytest.param("6003575b00", 0x2, id="jumpi-ending-its-block"),
+        pytest.param("5f" * 1025, 0x400, id="push0-off-the-end"),
+        pytest.param("5f" * 1025 + "00", 0x400, id="push0-in-its-block"),
+    ],
+)
+def test_arity_errors_name_the_entry_context(hex_text, pc, mode):
+    with pytest.raises(StackArityError) as exc:
+        solve(decode_bytecode(hex_text), mode=mode)
+    assert exc.value.pc == pc
+    assert exc.value.message.endswith("(entry context <0, {}>)")
 
 
 def test_block_worklist_reports_its_first_arity_error():
@@ -516,7 +513,9 @@ def test_block_worklist_reports_its_first_arity_error():
     with pytest.raises(StackArityError) as exc:
         solve(program)
     assert exc.value.pc == 0x5
-    assert exc.value.message == "JUMPI at pc 0x5 needs 2 stack items, found 1"
+    assert exc.value.message == (
+        "JUMPI at pc 0x5 needs 2 stack items, found 1 (entry context <0, {}>)"
+    )
     with pytest.raises(StackArityError) as exc:
         solve(program, mode="naive")
     assert exc.value.kind == "stack_arity_error"
