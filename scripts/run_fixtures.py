@@ -37,10 +37,7 @@ def run_one(name: str, hex_text: str, out_dir: Path | None) -> bool:
     for a, b in sorted(cfg.next_edges):
         print(f"  {a.name()} -> {b.name()} (fallthrough)")
 
-    print(
-        f"  states={len(traces.states)} transitions={len(traces.transitions)}"
-        f" traces={len(traces.traces)}"
-    )
+    print(f"  states={len(traces.states)} transitions={len(traces.transitions)}")
     print(f"  jumps-to: {analysis.jumps_to.status}  walk: {analysis.walk.status}")
 
     if out_dir is not None:

@@ -3,8 +3,8 @@
 The pipeline: decode bytecode, partition it into basic blocks, solve a flow
 constraint system that tracks pushed jump destinations through the operand
 stack, and expand each block into one graph vertex per reaching stack
-shape. An executable reference semantics double-checks the result by
-enumerating concrete runs and comparing them against the static answer.
+shape. An executable reference semantics double-checks the result: it
+closes the concrete state space and maps each state to its replica.
 """
 
 from .blocks import Block, Terminator, partition_blocks

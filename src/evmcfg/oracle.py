@@ -4,15 +4,21 @@ This module runs bytecode directly on a concrete stack: a StackState whose
 tracked slots hold the jump destinations a value may be, and whose other
 slots hold untracked values.
 JUMPI explores both branches, so the reachable state set over-approximates
-any single run while staying finite for loop-free code. The two checkers
-compare those runs against the static results:
+any single run. enumerate_states closes it breadth-first, loops included,
+and the checkers compare that closure against the static results through
+one map from each concrete state to its replica: a state at a block start
+names its own replica, the block and its stack, and every other state runs
+in the replica of its predecessor. Two replicas can reach one state (a
+JUMPDEST POP entered with two different targets), so the map is walked as
+(state, replica) pairs.
 
-  * check_jumps_to: every reached state must be covered by the solved
-    variable at its pc, and every executed jump must be predicted by some
-    recorded state there.
-  * check_walk: the block sequence of every maximal trace must be
-    realizable as a directed walk over graph replicas starting at the
-    entry vertex.
+  * check_jumps_to: the member of a state's replica at its pc must cover
+    the state's stack; at a block start, the stack must be an entry
+    context there.
+  * check_walk: each transition into a block must follow a graph edge from
+    its source's replica to its target's, and the initial state must be
+    the entry vertex. The paper's soundness claim is exactly this: every
+    execution is a walk over the replica graph.
 
 generate_program assembles randomized but well-formed test programs
 (straight-line filler, branch diamonds, shared subroutines entered from
@@ -30,11 +36,11 @@ import itertools
 import random
 from collections import deque
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import Mapping, NamedTuple
 
 from .bytecode import OPCODES, JUMPI_BYTE, Program, decode_bytecode
-from .cfg import Cfg, ReplicaId
-from .domain import MAX_STACK, AbstractState, StackState
+from .cfg import Cfg
+from .domain import MAX_STACK, StackState
 from .equations import EquationSystem
 from .errors import (
     AnalysisError,
@@ -58,12 +64,29 @@ class ConcreteState(NamedTuple):
 
 @dataclass(frozen=True)
 class TraceSet:
-    """Reachable states, transitions, and maximal traces from the start."""
+    """The concrete states reachable from the start, with their successors.
+
+    successors holds every stepped state; when truncated, the closure was
+    cut and some states in states were never stepped.
+    """
 
     states: frozenset[ConcreteState]
-    transitions: frozenset[tuple[ConcreteState, ConcreteState]]
-    traces: tuple[tuple[ConcreteState, ...], ...]
+    successors: Mapping[ConcreteState, tuple[ConcreteState, ...]]
     truncated: bool
+
+    @property
+    def transitions(self) -> frozenset[tuple[ConcreteState, ConcreteState]]:
+        return frozenset(
+            (source, target)
+            for source, targets in self.successors.items()
+            for target in targets
+        )
+
+    @property
+    def traces(self) -> tuple:
+        """Always empty: no maximal traces are listed. The benchmark in
+        bench/ still reads it."""
+        return ()
 
 
 @dataclass(frozen=True)
@@ -203,22 +226,19 @@ def initial_concrete_state() -> ConcreteState:
 
 
 def enumerate_states(program: Program, max_steps: int = DEFAULT_MAX_STEPS) -> TraceSet:
-    """Breadth-first closure from the start state plus maximal traces.
+    """Breadth-first closure of the concrete states reachable from the start.
 
-    max_steps bounds the closure's transitions, hence its states, and the
-    trace walk's steps. Sets truncated when it cuts either, or when a cycle
-    prevents maximal traces from existing. The depth-first walk emits traces
-    in canonical order, as step sorts successors. Step errors propagate with
-    a partial_trace attribute for diagnosis.
+    Records each stepped state's successors. max_steps bounds the closure's
+    transitions, hence its states; truncated says that it cut the closure.
+    A step error propagates with a partial_trace attribute, the chain of
+    first-found predecessors from the start, for diagnosis.
     """
     if not program.instructions:
         raise AnalysisError("program has no instructions")
     start = initial_concrete_state()
-    visited = {start}
-    parents: dict[ConcreteState, ConcreteState] = {}
+    parents: dict[ConcreteState, ConcreteState | None] = {start: None}
     queue = deque([start])
     succ_map: dict[ConcreteState, tuple[ConcreteState, ...]] = {}
-    transitions: set[tuple[ConcreteState, ConcreteState]] = set()
     truncated = False
     steps = 0
 
@@ -228,7 +248,7 @@ def enumerate_states(program: Program, max_steps: int = DEFAULT_MAX_STEPS) -> Tr
             successors = step(program, current)
         except AnalysisError as err:
             chain = [current]
-            while chain[-1] in parents:
+            while parents[chain[-1]] is not None:
                 chain.append(parents[chain[-1]])
             err.partial_trace = tuple(reversed(chain))
             raise
@@ -238,52 +258,37 @@ def enumerate_states(program: Program, max_steps: int = DEFAULT_MAX_STEPS) -> Tr
             break
         succ_map[current] = successors
         for nxt in successors:
-            transitions.add((current, nxt))
-            if nxt in visited:
-                continue
-            visited.add(nxt)
-            parents[nxt] = current
-            queue.append(nxt)
+            if nxt not in parents:
+                parents[nxt] = current
+                queue.append(nxt)
 
-    traces: list[tuple[ConcreteState, ...]] = []
-    if not truncated:
-        budget = max_steps
-        path = [start]
-        on_path = {start}
-        iters = [iter(succ_map[start])] if succ_map.get(start) else []
-        if not succ_map.get(start):
-            traces.append((start,))
-        while iters:
-            try:
-                nxt = next(iters[-1])
-            except StopIteration:
-                iters.pop()
-                on_path.discard(path.pop())
-                continue
-            budget -= 1
-            if budget < 0:
-                truncated = True
-                break
-            if nxt in on_path:
-                truncated = True  # cycle: no maximal trace through here
-                continue
-            path.append(nxt)
-            on_path.add(nxt)
-            following = succ_map.get(nxt, ())
-            if following:
-                iters.append(iter(following))
-            else:
-                traces.append(tuple(path))
-                on_path.discard(path.pop())
-        if truncated:
-            traces = []
+    return TraceSet(states=frozenset(parents), successors=succ_map, truncated=truncated)
 
-    return TraceSet(
-        states=frozenset(visited),
-        transitions=frozenset(transitions),
-        traces=tuple(traces),
-        truncated=truncated,
-    )
+
+def _replica_steps(system: EquationSystem, traces: TraceSet):
+    """Walk (state, entry) pairs over the closure, yielding each step.
+
+    A pair's entry is the block-start state whose replica the state runs
+    in: a state at a block start is its own entry, and any other state
+    inherits its predecessor's. Two entries can reach one state when two
+    contexts merge inside a block, so the walk keys on pairs. Yields
+    (source, source entry, target, target entry) once per transition of a
+    pair, after the initial state as (None, None, start, start).
+    """
+    block_starts = {block.start_pc for block in system.blocks}
+    successors = traces.successors
+    start = initial_concrete_state()
+    yield None, None, start, start
+    seen = {(start, start)}
+    pending = [(start, start)]
+    for state, entry in pending:  # grows as the walk finds pairs
+        for target in successors[state]:
+            target_entry = target if target.pc in block_starts else entry
+            yield state, entry, target, target_entry
+            pair = (target, target_entry)
+            if pair not in seen:
+                seen.add(pair)
+                pending.append(pair)
 
 
 def _stack_covered(concrete: StackState, abstract: StackState) -> bool:
@@ -296,129 +301,86 @@ def _stack_covered(concrete: StackState, abstract: StackState) -> bool:
     return True
 
 
-def _covered_by_variable(stack: StackState, variable: AbstractState) -> bool:
-    # A recorded member equal to the stack covers it; most stacks have one.
-    for members in variable.values():
-        if stack in members:
-            return True
-    for members in variable.values():
-        for member in members:
-            if _stack_covered(stack, member):
-                return True
-    return False
+def _coverage(traces: TraceSet) -> Coverage:
+    transitions = sum(map(len, traces.successors.values()))
+    return Coverage(len(traces.states), transitions, traces.truncated)
 
 
 def check_jumps_to(
     program: Program, system: EquationSystem, traces: TraceSet
 ) -> Verdict:
-    """Every reached state and executed jump must appear in the solution."""
-    coverage = Coverage(len(traces.states), len(traces.transitions), traces.truncated)
+    """Every reached state must be covered by the member of its replica."""
+    coverage = _coverage(traces)
     if traces.truncated:
         return Verdict("inconclusive", (), coverage)
 
     violations: list[Violation] = []
-    start = initial_concrete_state()
-    if not _covered_by_variable(start.stack, system.state_at(0)):
+    for source, _, state, entry in _replica_steps(system, traces):
+        # A block-start state is its own entry, so its stack must be an
+        # entry context there, whose member covers it.
+        members = system.state_at(state.pc).get(entry.stack)
+        if members is not None and (
+            state.stack in members
+            or any(_stack_covered(state.stack, m) for m in members)
+        ):
+            continue
+        where = (
+            f"initial state {state.render()}" if source is None
+            else f"after pc 0x{source.pc:x}, state {state.stack.render()}"
+            f" at pc 0x{state.pc:x}"
+        )
         violations.append(
             Violation(
                 kind="uncovered_state",
-                pc=0,
-                detail=f"initial state {start.render()} has no covering entry context",
+                pc=0 if source is None else source.pc,
+                detail=(
+                    f"{where} is not covered by entry context"
+                    f" {entry.stack.render()} of block 0x{entry.pc:x}"
+                ),
             )
         )
-
-    for source, target in sorted(traces.transitions):
-        if not _covered_by_variable(target.stack, system.state_at(target.pc)):
-            violations.append(
-                Violation(
-                    kind="uncovered_state",
-                    pc=source.pc,
-                    detail=(
-                        f"after pc 0x{source.pc:x}, state {target.stack.render()}"
-                        f" at pc 0x{target.pc:x} has no covering entry context"
-                    ),
-                )
-            )
-        instr = program.instruction_at(source.pc)
-        if instr.spec.is_jump:
-            claimed = source.stack.top_destinations() or ()
-            if target.pc in claimed and not _jump_predicted(
-                system, source.pc, target.pc
-            ):
-                violations.append(
-                    Violation(
-                        kind="missing_jump_target",
-                        pc=source.pc,
-                        detail=(
-                            f"executed jump 0x{source.pc:x} -> 0x{target.pc:x}"
-                            f" is predicted by no recorded state"
-                        ),
-                    )
-                )
     status = "pass" if not violations else "fail"
     return Verdict(status, tuple(violations), coverage)
-
-
-def _jump_predicted(system: EquationSystem, pc: int, dest: int) -> bool:
-    for members in system.state_at(pc).values():
-        for member in members:
-            if dest in (member.top_destinations() or ()):
-                return True
-    return False
 
 
 def check_walk(
     program: Program, cfg: Cfg, system: EquationSystem, traces: TraceSet
 ) -> Verdict:
-    """Each maximal trace must follow some directed walk over replicas."""
-    coverage = Coverage(len(traces.states), len(traces.transitions), traces.truncated)
+    """Every transition into a block must follow an edge between replicas."""
+    coverage = _coverage(traces)
     if traces.truncated:
         return Verdict("inconclusive", (), coverage)
 
-    block_starts = {b.start_pc for b in system.blocks}
-    successors: dict[ReplicaId, list[ReplicaId]] = {}
-    for a, b in cfg.jump_edges | cfg.next_edges:
-        successors.setdefault(a, []).append(b)
-
+    replicas = {
+        ConcreteState(r.block_start, context): r for r, context in cfg.vertices.items()
+    }
+    edges = cfg.jump_edges | cfg.next_edges
     violations: list[Violation] = []
-    for trace in traces.traces:
-        sequence = [s.pc for s in trace if s.pc in block_starts]
-        if not _walk_exists(cfg, successors, sequence):
-            rendered = " -> ".join(f"0x{pc:x}" for pc in sequence)
-            violations.append(
-                Violation(
-                    kind="missing_walk",
-                    pc=sequence[0] if sequence else 0,
-                    detail=f"no directed walk realizes block sequence {rendered}",
-                )
+    for source, source_entry, target, entry in _replica_steps(system, traces):
+        if target is not entry:
+            continue  # inside a block
+        here = replicas.get(entry)
+        if source is None:
+            if here == cfg.entry:
+                continue
+            detail = f"initial state {target.render()} is not the entry vertex"
+        else:
+            there = replicas.get(source_entry)
+            if (there, here) in edges:
+                continue
+            detail = (
+                f"transition 0x{source.pc:x} -> 0x{target.pc:x} follows no edge"
+                f" from replica {source_entry.render()} to {target.render()}"
             )
+        violations.append(
+            Violation(
+                kind="missing_edge",
+                pc=0 if source is None else source.pc,
+                detail=detail,
+            )
+        )
     status = "pass" if not violations else "fail"
     return Verdict(status, tuple(violations), coverage)
-
-
-def _walk_exists(
-    cfg: Cfg,
-    successors: dict[ReplicaId, list[ReplicaId]],
-    sequence: list[int],
-) -> bool:
-    """Whether some walk from the entry visits the blocks of sequence in order.
-
-    Tracks the set of replicas each prefix can end in; the walk exists iff
-    that set never runs empty.
-    """
-    if not sequence or cfg.entry.block_start != sequence[0]:
-        return False
-    level = {cfg.entry}
-    for block in sequence[1:]:
-        level = {
-            succ
-            for replica in level
-            for succ in successors.get(replica, ())
-            if succ.block_start == block
-        }
-        if not level:
-            return False
-    return True
 
 
 # ---------------------------------------------------------------------------

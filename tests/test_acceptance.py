@@ -226,27 +226,19 @@ def _context_mutation(system, traces):
 
 
 def _essential_edge(cfg: Cfg, system, traces):
-    """A walk edge between two singleton levels; removal kills the walk."""
-    block_starts = {b.start_pc for b in system.blocks}
-    edges = cfg.jump_edges | cfg.next_edges
-    successors: dict[ReplicaId, list[ReplicaId]] = {}
-    for a, b in edges:
-        successors.setdefault(a, []).append(b)
-    for trace in traces.traces:
-        sequence = [s.pc for s in trace if s.pc in block_starts]
-        levels = [{cfg.entry}]
-        for block in sequence[1:]:
-            nxt = {
-                succ
-                for replica in levels[-1]
-                for succ in successors.get(replica, ())
-                if succ.block_start == block
-            }
-            levels.append(nxt)
-        for here, there in zip(levels, levels[1:]):
-            if len(here) == 1 and len(there) == 1:
-                (a,), (b,) = here, there
-                return a, b
+    """An edge that a block-crossing transition must follow: its source
+    and target blocks each have one replica, so the map names both ends."""
+    block_of = {ins.pc: b.start_pc for b in system.blocks for ins in b.body}
+    replicas: dict[int, list[ReplicaId]] = {}
+    for replica in cfg.vertices:
+        replicas.setdefault(replica.block_start, []).append(replica)
+    for source, target in sorted(traces.transitions):
+        if target.pc not in replicas:
+            continue  # not a block start
+        sources = replicas[block_of[source.pc]]
+        targets = replicas[target.pc]
+        if len(sources) == 1 and len(targets) == 1:
+            return sources[0], targets[0]
     return None
 
 
@@ -255,8 +247,8 @@ def test_acceptance_6_mutation_sensitivity():
     context_trials = 0
     edge_trials = 0
     seed = 5000
-    # Some seeds halt inside block 0 and leave no trace-used edge to cut,
-    # so the two mutation kinds are counted independently.
+    # Some seeds halt inside block 0 and leave no edge to cut, so the two
+    # mutation kinds are counted independently.
     while (context_trials < 100 or edge_trials < 100) and seed < 5400:
         program = generate_program(seed, random_shape(random.Random(seed)))
         analysis = analyze(program)

@@ -60,12 +60,13 @@ SHARED_REPORT = """\
 }
 """
 
-LOOP_REPORT = """\
+# The loop's closure cut before its JUMPI forks.
+CUT_LOOP_REPORT = """\
 {
   "jumps_to": {
     "coverage": {
-      "states": 5,
-      "transitions": 5,
+      "states": 4,
+      "transitions": 3,
       "truncated": true
     },
     "verdict": "inconclusive",
@@ -75,8 +76,8 @@ LOOP_REPORT = """\
   "vertices": 2,
   "walk": {
     "coverage": {
-      "states": 5,
-      "transitions": 5,
+      "states": 4,
+      "transitions": 3,
       "truncated": true
     },
     "verdict": "inconclusive",
@@ -92,8 +93,10 @@ def test_check_pass(capsys):
 
 
 def test_inconclusive_check_report(capsys):
-    code, out, err = run_main(capsys, "--hex", "5b600160005700", "--check")
-    assert (code, out, err) == (EXIT_UNSOUND, LOOP_REPORT, "")
+    code, out, err = run_main(
+        capsys, "--hex", "5b600160005700", "--check", "--max-steps", "3"
+    )
+    assert (code, out, err) == (EXIT_UNSOUND, CUT_LOOP_REPORT, "")
 
 
 def test_artifacts_written(tmp_path, capsys):
@@ -205,10 +208,17 @@ def test_truncated_check_is_unsound_exit(capsys):
     assert report["jumps_to"]["coverage"]["truncated"] is True
 
 
-def test_cycle_is_inconclusive(capsys):
-    code, out, _ = run_main(capsys, "--hex", "5b600056", "--check")
-    assert code == EXIT_UNSOUND
-    assert json.loads(out)["verdict"] == "inconclusive"
+def test_cycle_passes(capsys):
+    for hex_text, states in (("5b600160005700", 5), ("5b600056", 3)):
+        code, out, _ = run_main(capsys, "--hex", hex_text, "--check")
+        assert code == EXIT_OK
+        report = json.loads(out)
+        assert report["verdict"] == "pass"
+        assert report["walk"]["coverage"] == {
+            "states": states,
+            "transitions": states,
+            "truncated": False,
+        }
 
 
 def test_truncated_push_diagnostic_on_stderr(capsys):

@@ -8,6 +8,7 @@ here, so only one side may delegate to the other.
 from __future__ import annotations
 
 import random
+from collections import deque
 
 import pytest
 from hypothesis import given, settings
@@ -38,7 +39,13 @@ from evmcfg.errors import (
 )
 from evmcfg.bytecode import JUMPI_BYTE
 from evmcfg.domain import MAX_STACK, StackState
-from evmcfg.oracle import GeneratorShape, initial_concrete_state
+from evmcfg.oracle import (
+    DEFAULT_MAX_STEPS,
+    GeneratorShape,
+    _replica_steps,
+    _stack_covered,
+    initial_concrete_state,
+)
 
 from conftest import LINEAR_HEX, kernel_stacks, ss, stack_states
 
@@ -220,11 +227,22 @@ def test_step_matches_the_old_stepper(stack, tail, value):
 
 # -------------------------------------------------------------- enumeration
 
+def single_run(traces):
+    """The one run of a closure without forks, from the start to its halt."""
+    state, run = initial_concrete_state(), []
+    while True:
+        run.append(state)
+        following = traces.successors[state]
+        if not following:
+            return run
+        (state,) = following
+
+
 def test_enumerate_single_halt():
     traces = enumerate_states(decode_bytecode("00"))
-    assert len(traces.states) == 1
+    assert traces.states == {cs(0, 0)}
     assert traces.transitions == frozenset()
-    assert traces.traces == ((cs(0, 0),),)
+    assert traces.successors == {cs(0, 0): ()}
     assert not traces.truncated
 
 
@@ -232,9 +250,9 @@ def test_enumerate_linear_exact(linear):
     traces = linear.traces
     assert len(traces.states) == 4
     assert len(traces.transitions) == 3
-    assert len(traces.traces) == 1
-    assert [s.pc for s in traces.traces[0]] == [0, 2, 3, 4]
-    assert [s.stack.n for s in traces.traces[0]] == [0, 1, 0, 0]
+    run = single_run(traces)
+    assert [s.pc for s in run] == [0, 2, 3, 4]
+    assert [s.stack.n for s in run] == [0, 1, 0, 0]
     assert not traces.truncated
 
 
@@ -242,9 +260,12 @@ def test_enumerate_branch_two_traces(branch):
     traces = branch.traces
     assert len(traces.states) == 6
     assert len(traces.transitions) == 5
-    assert [[s.pc for s in t] for t in traces.traces] == [
-        [0, 2, 4, 5],
-        [0, 2, 4, 6, 7],
+    assert sorted(s.pc for s in traces.states) == [0, 2, 4, 5, 6, 7]
+    fork = cs(4, 2, {1: [0x06]})
+    assert [s.pc for s in traces.successors[fork]] == [5, 6]
+    assert [s for s, following in traces.successors.items() if not following] == [
+        cs(5, 0),
+        cs(7, 0),
     ]
 
 
@@ -252,8 +273,7 @@ def test_enumerate_shared_exact(shared):
     traces = shared.traces
     assert len(traces.states) == 13
     assert len(traces.transitions) == 12
-    assert len(traces.traces) == 1
-    assert [s.pc for s in traces.traces[0]] == [
+    assert [s.pc for s in single_run(traces)] == [
         0x00, 0x02, 0x04, 0x10, 0x11, 0x05, 0x06,
         0x08, 0x0A, 0x10, 0x11, 0x0B, 0x0C,
     ]
@@ -263,39 +283,21 @@ def test_enumerate_shared_exact(shared):
 def test_enumerate_two_height(two_height):
     traces = two_height.traces
     assert len(traces.states) == 14
-    assert len(traces.traces) == 1
-    heights = [s.stack.n for s in traces.traces[0]]
+    heights = [s.stack.n for s in single_run(traces)]
     assert heights == [0, 1, 2, 1, 1, 0, 0, 1, 2, 3, 2, 2, 1, 1]
 
 
-def test_enumerate_cycle_truncates():
+def test_enumerate_cycle_completes():
     traces = enumerate_states(decode_bytecode("5b600056"))
     assert len(traces.states) == 3
     assert len(traces.transitions) == 3
-    assert traces.truncated
-    assert traces.traces == ()
+    assert not traces.truncated
+    assert traces.successors[cs(3, 1, {0: [0x00]})] == (cs(0, 0),)
 
 
 def test_enumerate_budget_truncates(linear):
     traces = enumerate_states(linear.program, max_steps=2)
     assert traces.truncated
-
-
-def test_traces_come_out_in_canonical_order(linear, branch, shared, two_height):
-    # The depth-first walk needs no sort: the sort stays here as the reference.
-    def check(traces):
-        assert not traces.truncated
-        assert traces.traces == tuple(
-            sorted(traces.traces, key=lambda t: [old_sort_key(s) for s in t])
-        )
-
-    for fixture in (linear, branch, shared, two_height):
-        check(fixture.traces)
-    rng = random.Random(0x7A)
-    for _ in range(200):
-        seed = rng.getrandbits(32)
-        program = generate_program(seed, random_shape(random.Random(seed)))
-        check(enumerate_states(program))
 
 
 concrete_states = st.builds(ConcreteState, st.integers(0, 6), stack_states(max_height=3))
@@ -410,33 +412,281 @@ def test_narrowed_member_is_caught(shared):
     assert "uncovered_state" in kinds
 
 
-def test_missing_edge_breaks_the_walk(shared):
-    removed = (ReplicaId(0x05, 1), ReplicaId(0x10, 2))
-    doctored = Cfg(
-        vertices=shared.cfg.vertices,
-        jump_edges=shared.cfg.jump_edges - {removed},
-        next_edges=shared.cfg.next_edges,
-        entry=shared.cfg.entry,
+def _without_edge(cfg: Cfg, edge) -> Cfg:
+    return Cfg(
+        vertices=cfg.vertices,
+        jump_edges=cfg.jump_edges - {edge},
+        next_edges=cfg.next_edges - {edge},
+        entry=cfg.entry,
     )
+
+
+def test_missing_edge_breaks_the_walk(shared):
+    # The second call into the shared block: the violation names the jump
+    # at its source pc and the block it lands on.
+    doctored = _without_edge(shared.cfg, (ReplicaId(0x05, 1), ReplicaId(0x10, 2)))
     verdict = check_walk(shared.program, doctored, shared.system, shared.traces)
     assert verdict.status == "fail"
     (violation,) = verdict.violations
-    assert violation.kind == "missing_walk"
+    assert violation.kind == "missing_edge"
+    assert violation.pc == 0x0A
     assert "0x10" in violation.detail
 
 
 def test_missing_jump_target_detected(shared):
-    # Claim the second call site never returns to the shared block.
-    system = solve(shared.program)
-    narrowed = ss(1)
-    system.states[0x0A] = {ss(0): frozenset({ss(2, {0: [0x0B]})})}
-    verdict = check_jumps_to(shared.program, system, shared.traces)
+    # Claim the shared block's second replica never returns to its caller.
+    doctored = _without_edge(shared.cfg, (ReplicaId(0x10, 2), ReplicaId(0x0B, 1)))
+    verdict = check_walk(shared.program, doctored, shared.system, shared.traces)
     assert verdict.status == "fail"
-    kinds = {v.kind for v in verdict.violations}
-    assert "missing_jump_target" in kinds
-    pcs = {v.pc for v in verdict.violations if v.kind == "missing_jump_target"}
-    assert pcs == {0x0A}
-    assert narrowed not in system.state_at(0x10)  # sanity: untouched var
+    (violation,) = verdict.violations
+    assert violation.kind == "missing_edge"
+    assert violation.pc == 0x11
+    assert "-> 0xb " in violation.detail
+
+
+def test_entry_vertex_is_checked(shared):
+    doctored = Cfg(
+        vertices=shared.cfg.vertices,
+        jump_edges=shared.cfg.jump_edges,
+        next_edges=shared.cfg.next_edges,
+        entry=ReplicaId(0x05, 1),
+    )
+    verdict = check_walk(shared.program, doctored, shared.system, shared.traces)
+    assert verdict.status == "fail"
+    (violation,) = verdict.violations
+    assert (violation.kind, violation.pc) == ("missing_edge", 0)
+
+
+def test_two_entries_reach_one_state():
+    # JUMPDEST POP entered with two different targets in slot 0: both
+    # contexts step to the same empty stack after the POP, so the map is a
+    # relation, and each context's member must cover the states after it.
+    program = decode_bytecode("6001600a57600a6010565b60106010565b50365000")
+    analysis = analyze(program)
+    assert analysis.verdict == "pass"
+    contexts = analysis.system.entry_contexts(0x10)
+    assert contexts == (ss(1, {0: [0x0A]}), ss(1, {0: [0x10]}))
+    merged_state = cs(0x12, 0)
+    entries = {
+        entry.stack
+        for _, _, state, entry in _replica_steps(analysis.system, analysis.traces)
+        if state == merged_state
+    }
+    assert entries == set(contexts)
+    for context in contexts:
+        mutated = solve(program)
+        doctored = dict(mutated.state_at(0x13))
+        doctored[context] = frozenset({ss(2)})
+        mutated.states[0x13] = doctored
+        verdict = check_jumps_to(program, mutated, analysis.traces)
+        assert verdict.status == "fail"
+        (violation,) = verdict.violations
+        assert violation.kind == "uncovered_state"
+        assert violation.pc == 0x12
+        assert f"entry context {context.render()}" in violation.detail
+
+
+# ------------------------------------------------ the trace-walk reference
+# The checkers as they were before the replica map: maximal traces listed
+# depth-first over the closure, each walked over the replica graph, and
+# every transition's target covered by some member at its pc. They are the
+# reference for the map's verdicts on loop-free programs, where they decide.
+
+
+def old_enumerate(program, max_steps=DEFAULT_MAX_STEPS):
+    """(states, transitions, traces, truncated): the closure, then the walk."""
+    start = initial_concrete_state()
+    visited = {start}
+    queue = deque([start])
+    succ_map = {}
+    transitions = set()
+    truncated = False
+    steps = 0
+    while queue:
+        current = queue.popleft()
+        successors = step(program, current)
+        steps += len(successors)
+        if steps > max_steps:
+            truncated = True
+            break
+        succ_map[current] = successors
+        for nxt in successors:
+            transitions.add((current, nxt))
+            if nxt in visited:
+                continue
+            visited.add(nxt)
+            queue.append(nxt)
+
+    traces = []
+    if not truncated:
+        budget = max_steps
+        path = [start]
+        on_path = {start}
+        iters = [iter(succ_map[start])] if succ_map.get(start) else []
+        if not succ_map.get(start):
+            traces.append((start,))
+        while iters:
+            try:
+                nxt = next(iters[-1])
+            except StopIteration:
+                iters.pop()
+                on_path.discard(path.pop())
+                continue
+            budget -= 1
+            if budget < 0:
+                truncated = True
+                break
+            if nxt in on_path:
+                truncated = True  # cycle: no maximal trace through here
+                continue
+            path.append(nxt)
+            on_path.add(nxt)
+            following = succ_map.get(nxt, ())
+            if following:
+                iters.append(iter(following))
+            else:
+                traces.append(tuple(path))
+                on_path.discard(path.pop())
+        if truncated:
+            traces = []
+    return visited, transitions, traces, truncated
+
+
+def _old_covered_by_variable(stack, variable):
+    for members in variable.values():
+        if stack in members:
+            return True
+    return any(
+        _stack_covered(stack, member)
+        for members in variable.values()
+        for member in members
+    )
+
+
+def _old_jump_predicted(system, pc, dest):
+    return any(
+        dest in (member.top_destinations() or ())
+        for members in system.state_at(pc).values()
+        for member in members
+    )
+
+
+def old_check_jumps_to(program, system, closure):
+    _, transitions, _, truncated = closure
+    if truncated:
+        return "inconclusive"
+    start = initial_concrete_state()
+    if not _old_covered_by_variable(start.stack, system.state_at(0)):
+        return "fail"
+    for source, target in sorted(transitions):
+        if not _old_covered_by_variable(target.stack, system.state_at(target.pc)):
+            return "fail"
+        if program.instruction_at(source.pc).spec.is_jump:
+            claimed = source.stack.top_destinations() or ()
+            if target.pc in claimed and not _old_jump_predicted(
+                system, source.pc, target.pc
+            ):
+                return "fail"
+    return "pass"
+
+
+def _old_walk_exists(cfg, successors, sequence):
+    if not sequence or cfg.entry.block_start != sequence[0]:
+        return False
+    level = {cfg.entry}
+    for block in sequence[1:]:
+        level = {
+            succ
+            for replica in level
+            for succ in successors.get(replica, ())
+            if succ.block_start == block
+        }
+        if not level:
+            return False
+    return True
+
+
+def old_check_walk(cfg, system, closure):
+    _, _, traces, truncated = closure
+    if truncated:
+        return "inconclusive"
+    block_starts = {b.start_pc for b in system.blocks}
+    successors = {}
+    for a, b in cfg.jump_edges | cfg.next_edges:
+        successors.setdefault(a, []).append(b)
+    for trace in traces:
+        sequence = [s.pc for s in trace if s.pc in block_starts]
+        if not _old_walk_exists(cfg, successors, sequence):
+            return "fail"
+    return "pass"
+
+
+def merged(statuses):
+    return next(s for s in ("fail", "inconclusive", "pass") if s in statuses)
+
+
+def test_verdicts_match_the_trace_walk(linear, branch, shared, two_height):
+    analyses = [linear, branch, shared, two_height]
+    rng = random.Random(0x7A)
+    for _ in range(200):
+        seed = rng.getrandbits(32)
+        analyses.append(analyze(generate_program(seed, random_shape(random.Random(seed)))))
+    for analysis in analyses:
+        closure = old_enumerate(analysis.program)
+        reference = merged(
+            {
+                old_check_jumps_to(analysis.program, analysis.system, closure),
+                old_check_walk(analysis.cfg, analysis.system, closure),
+            }
+        )
+        assert analysis.verdict == reference == "pass"
+        assert analysis.traces.states == closure[0]
+        assert analysis.traces.transitions == closure[1]
+
+
+def _narrowed(members):
+    return frozenset(StackState.make(m.n) for m in members)
+
+
+def test_mutations_fail_under_both_checkers(linear, branch, shared, two_height):
+    # Every reached entry context dropped, every member at a pc where a
+    # reached stack tracks a slot narrowed to untracked slots, and every
+    # edge cut, one at a time: both checkers must fail each mutation.
+    for analysis in (linear, branch, shared, two_height):
+        program, traces = analysis.program, analysis.traces
+        closure = old_enumerate(program)
+        block_starts = {b.start_pc for b in analysis.system.blocks}
+        system_mutations = []
+        for state in sorted(traces.states):
+            if state.pc in block_starts:
+                mutated = solve(program)
+                doctored = dict(mutated.state_at(state.pc))
+                del doctored[state.stack]
+                mutated.states[state.pc] = doctored
+                system_mutations.append(mutated)
+        for pc in sorted({s.pc for s in traces.states if s.stack.sigma}):
+            mutated = solve(program)
+            mutated.states[pc] = {
+                key: _narrowed(members)
+                for key, members in mutated.state_at(pc).items()
+            }
+            system_mutations.append(mutated)
+        assert len(system_mutations) >= 3
+        for mutated in system_mutations:
+            assert old_check_jumps_to(program, mutated, closure) == "fail"
+            verdict = check_jumps_to(program, mutated, traces)
+            assert verdict.status == "fail"
+            assert {v.kind for v in verdict.violations} == {"uncovered_state"}
+
+        cfg = analysis.cfg
+        edges = sorted(cfg.jump_edges | cfg.next_edges)
+        assert edges
+        for edge in edges:
+            cut = _without_edge(cfg, edge)
+            assert old_check_walk(cut, analysis.system, closure) == "fail"
+            verdict = check_walk(program, cut, analysis.system, traces)
+            assert verdict.status == "fail"
+            assert [v.kind for v in verdict.violations] == ["missing_edge"]
 
 
 # ------------------------------------------------ stepper vs. static effect

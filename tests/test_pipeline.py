@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import itertools
 
-from evmcfg import Analysis, Verdict, analyze
+from evmcfg import Analysis, GeneratorShape, Verdict, analyze, generate_program
 from evmcfg.oracle import Coverage
 
 from conftest import LINEAR_HEX
@@ -31,3 +31,12 @@ def test_without_check_leaves_check_fields_empty():
     assert analysis.verdict is None
     assert len(analysis.cfg.vertices) == 2
 
+
+def test_scaled_program_passes_the_check():
+    # The benchmark's largest program: 800 branches and 40 callees called
+    # from 20 sites each give more than 2^800 maximal traces, while each
+    # checker visits the 36,737 states of its closure once.
+    shape = GeneratorShape(branch_count=800, callee_count=40, sites_per_callee=20)
+    analysis = analyze(generate_program(1, shape))
+    assert analysis.verdict == "pass"
+    assert analysis.jumps_to.coverage.states == 36_737

@@ -25,6 +25,12 @@ def test_run_fixtures_script(tmp_path):
     proc = run_script("run_fixtures.py", "--out", str(tmp_path))
     assert proc.returncode == 0, proc.stderr
     assert "jumps-to: pass  walk: pass" in proc.stdout
+    counts = [line.strip() for line in proc.stdout.splitlines() if "states=" in line]
+    assert counts == [
+        "states=4 transitions=3",
+        "states=6 transitions=5",
+        "states=13 transitions=12",
+    ]
     assert sorted(p.name for p in tmp_path.iterdir()) == [
         f"{name}.{ext}" for name in ("branch", "linear", "shared") for ext in ("dot", "json")
     ]
