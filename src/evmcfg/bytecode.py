@@ -172,7 +172,7 @@ class Instruction(NamedTuple):
 
     @property
     def next_pc(self) -> int:
-        return self.pc + self.size
+        return self.pc + 1 + self.spec.immediate_len
 
     def push_value(self) -> int:
         """Value placed on the stack by a PUSH instruction."""

@@ -10,6 +10,7 @@ malformed one, and hashing, equality and ordering are the tuple's own. Its
 natural order is the canonical one: height first, then the tracked map.
 The constructor checks, in one pass and without sorting, that positions
 strictly increase and each destination set is a tuple that strictly increases.
+Only transfer.update_stack skips it; its steps keep a stack canonical.
 
 An AbstractState is a partial map from entry StackStates (the stack shapes a
 block can be entered with) to the sets of StackStates those entries have

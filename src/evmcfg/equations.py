@@ -32,14 +32,15 @@ raised through transfer does.
 
 The worklist solver stores states only at block starts and last
 instructions. EquationSystem.state_at derives a block's interior states on
-first request, by transfer from the block start, and keeps them. The naive
-solver fills every pc: each round sweeps every per-instruction constraint
-in pc order, joining each contribution into its target at once
-(Gauss-Seidel), and it stops after a round that changes nothing. Its
-per-pc sweep shares none of the worklist's block-level stepping, which
-keeps it an independent reference. verify_fixpoint likewise re-evaluates
-every per-instruction constraint over state_at, so it checks every
-derived interior state.
+first request, by transfer from the block start, and keeps them;
+members_along derives one context's members the same way and keeps
+nothing. The naive solver fills every pc: each round sweeps every
+per-instruction constraint in pc order, joining each contribution into its
+target at once (Gauss-Seidel), and it stops after a round that changes
+nothing. Its per-pc sweep shares none of the worklist's block-level
+stepping, which keeps it an independent reference. verify_fixpoint
+likewise re-evaluates every per-instruction constraint over state_at, so it
+checks every derived interior state.
 
 Both solvers stop an input whose entry contexts grow without bound. A block
 may be entered at no more than MAX_ENTRY_HEIGHTS distinct stack heights and
@@ -55,7 +56,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, field
 from types import MappingProxyType
-from typing import Callable, Iterable, Mapping, NamedTuple
+from typing import Callable, Iterable, Iterator, Mapping, NamedTuple
 
 from .blocks import Block, Terminator, partition_blocks
 from .bytecode import Instruction, JUMPI_BYTE, Program
@@ -135,8 +136,8 @@ class EquationSystem:
         state = self.states.get(pc)
         return self._derive(pc) if state is None else state
 
-    def _derive(self, pc: int) -> AbstractState:
-        """Fill in the states of pc's block from its entry states."""
+    def _block_of(self, pc: int) -> Block | None:
+        """pc's block, None for an unreached pc; KeyError for no instruction."""
         if self._block_at is None:
             self._block_at = dict.fromkeys(self.unreached)
             for block in self.blocks:
@@ -144,7 +145,11 @@ class EquationSystem:
                     self._block_at[ins.pc] = block
         if pc not in self._block_at:
             raise KeyError(f"no instruction at pc 0x{pc:x}")
-        block = self._block_at[pc]
+        return self._block_at[pc]
+
+    def _derive(self, pc: int) -> AbstractState:
+        """Fill in the states of pc's block from its entry states."""
+        block = self._block_of(pc)
         if block is None:
             return self.states.setdefault(pc, bottom())
         state = self.states.setdefault(block.start_pc, bottom())
@@ -156,6 +161,26 @@ class EquationSystem:
             )
         self.states.setdefault(block.end_pc, bottom())
         return self.states[pc]
+
+    def members_along(
+        self, start_pc: int, key: StackState
+    ) -> Iterator[frozenset[StackState]]:
+        """state_at(pc).get(key, frozenset()) at each pc of the block that
+        starts at start_pc, in order, keeping none of the states it derives."""
+        block, states = self._block_of(start_pc), self.states
+        jumpdests = self.program.jumpdests
+        for prev, ins in zip((None,) + block.body, block.body):
+            stored = states.get(ins.pc)
+            if stored is not None or prev is None or ins.pc == block.end_pc:
+                members = (stored or {}).get(key, frozenset())
+            else:
+                try:
+                    members = frozenset(
+                        [update_stack(prev, m, jumpdests) for m in members]
+                    )
+                except StackArityError as err:
+                    raise with_entry_context(err, key) from None
+            yield members
 
     @property
     def vars(self) -> Mapping[int, ConstraintVar]:

@@ -14,7 +14,8 @@ JUMPDEST POP entered with two different targets), so the map is walked as
 
   * check_jumps_to: the member of a state's replica at its pc must cover
     the state's stack; at a block start, the stack must be an entry
-    context there.
+    context there. EquationSystem.members_along walks each context through
+    its block, so the check keeps no derived state in the system.
   * check_walk: each transition into a block must follow a graph edge from
     its source's replica to its target's, and the initial state must be
     the entry vertex. The paper's soundness claim is exactly this: every
@@ -139,13 +140,26 @@ def _first_at_or_above(sigma: tuple, pos: int) -> int:
     return i
 
 
-def step(program: Program, state: ConcreteState) -> tuple[ConcreteState, ...]:
+def _shared(stacks: dict[StackState, StackState], n: int, sigma: tuple) -> StackState:
+    """The stack (n, sigma) from stacks, looked up by its plain tuple."""
+    stack = stacks.get((n, sigma))
+    if stack is None:
+        stack = stacks[stack] = StackState(n, sigma)
+    return stack
+
+
+def step(
+    program: Program, state: ConcreteState, stacks: dict | None = None
+) -> tuple[ConcreteState, ...]:
     """Successor states of one concrete state, sorted canonically.
 
     Halting instructions and running off the end of the code produce no
     successors. Jumps with an untracked target raise StuckStateError; a
-    tracked target that is not a JUMPDEST raises InvalidJumpError.
+    tracked target that is not a JUMPDEST raises InvalidJumpError. Passing
+    one stacks dict to every step of a closure builds each distinct stack
+    once and shares it.
     """
+    stacks = {} if stacks is None else stacks
     instr = program.instruction_at(state.pc)
     spec = instr.spec
     if spec.halts:
@@ -169,7 +183,7 @@ def step(program: Program, state: ConcreteState) -> tuple[ConcreteState, ...]:
                 pc=instr.pc,
             )
         floor = n - spec.delta
-        landed = StackState(floor, sigma[: _first_at_or_above(sigma, floor)])
+        landed = _shared(stacks, floor, sigma[: _first_at_or_above(sigma, floor)])
         successors = []
         for dest in targets:
             if dest not in program.jumpdests:
@@ -195,7 +209,8 @@ def step(program: Program, state: ConcreteState) -> tuple[ConcreteState, ...]:
             f"{spec.mnemonic} at pc 0x{instr.pc:x} overflows the stack",
             pc=instr.pc,
         )
-    if not program.has_instruction(instr.next_pc):
+    next_pc = instr.next_pc
+    if not program.has_instruction(next_pc):
         return ()
 
     if spec.is_push:
@@ -218,7 +233,7 @@ def step(program: Program, state: ConcreteState) -> tuple[ConcreteState, ...]:
     else:
         sigma = sigma[: _first_at_or_above(sigma, n - spec.delta)]
 
-    return (ConcreteState(instr.next_pc, StackState(n_out, sigma)),)
+    return (tuple.__new__(ConcreteState, (next_pc, _shared(stacks, n_out, sigma))),)
 
 
 def initial_concrete_state() -> ConcreteState:
@@ -237,6 +252,7 @@ def enumerate_states(program: Program, max_steps: int = DEFAULT_MAX_STEPS) -> Tr
         raise AnalysisError("program has no instructions")
     start = initial_concrete_state()
     parents: dict[ConcreteState, ConcreteState | None] = {start: None}
+    stacks = {start.stack: start.stack}
     queue = deque([start])
     succ_map: dict[ConcreteState, tuple[ConcreteState, ...]] = {}
     truncated = False
@@ -245,7 +261,7 @@ def enumerate_states(program: Program, max_steps: int = DEFAULT_MAX_STEPS) -> Tr
     while queue:
         current = queue.popleft()
         try:
-            successors = step(program, current)
+            successors = step(program, current, stacks)
         except AnalysisError as err:
             chain = [current]
             while parents[chain[-1]] is not None:
@@ -258,8 +274,7 @@ def enumerate_states(program: Program, max_steps: int = DEFAULT_MAX_STEPS) -> Tr
             break
         succ_map[current] = successors
         for nxt in successors:
-            if nxt not in parents:
-                parents[nxt] = current
+            if parents.setdefault(nxt, current) is current:  # first reached
                 queue.append(nxt)
 
     return TraceSet(states=frozenset(parents), successors=succ_map, truncated=truncated)
@@ -271,24 +286,30 @@ def _replica_steps(system: EquationSystem, traces: TraceSet):
     A pair's entry is the block-start state whose replica the state runs
     in: a state at a block start is its own entry, and any other state
     inherits its predecessor's. Two entries can reach one state when two
-    contexts merge inside a block, so the walk keys on pairs. Yields
-    (source, source entry, target, target entry) once per transition of a
-    pair, after the initial state as (None, None, start, start).
+    contexts merge inside a block, so each entry walks its own chain, which
+    only moves to the next pc and never meets itself. Yields (source,
+    source entry, target, target entry) once per transition of a pair,
+    after (None, None, start, start); an entry's steps inside its block
+    come together, in pc order.
     """
     block_starts = {block.start_pc for block in system.blocks}
     successors = traces.successors
     start = initial_concrete_state()
     yield None, None, start, start
-    seen = {(start, start)}
-    pending = [(start, start)]
-    for state, entry in pending:  # grows as the walk finds pairs
-        for target in successors[state]:
-            target_entry = target if target.pc in block_starts else entry
-            yield state, entry, target, target_entry
-            pair = (target, target_entry)
-            if pair not in seen:
-                seen.add(pair)
-                pending.append(pair)
+    entries = [start]
+    seen = {start}
+    for entry in entries:  # grows as the walk finds block starts
+        chain = [entry]
+        for state in chain:  # grows along the block
+            for target in successors[state]:
+                if target.pc not in block_starts:
+                    yield state, entry, target, entry
+                    chain.append(target)
+                    continue
+                yield state, entry, target, target
+                if target not in seen:
+                    seen.add(target)
+                    entries.append(target)
 
 
 def _stack_covered(concrete: StackState, abstract: StackState) -> bool:
@@ -315,13 +336,18 @@ def check_jumps_to(
         return Verdict("inconclusive", (), coverage)
 
     violations: list[Violation] = []
-    for source, _, state, entry in _replica_steps(system, traces):
-        # A block-start state is its own entry, so its stack must be an
-        # entry context there, whose member covers it.
-        members = system.state_at(state.pc).get(entry.stack)
-        if members is not None and (
-            state.stack in members
-            or any(_stack_covered(state.stack, m) for m in members)
+    for source, source_entry, state, entry in _replica_steps(system, traces):
+        if state is entry:
+            # A block-start state is its own entry, so its stack must be an
+            # entry context there, whose member covers it.
+            members = system.state_at(state.pc).get(entry.stack, frozenset())
+        else:
+            if source is source_entry:  # first step inside: walk the block
+                along = system.members_along(entry.pc, entry.stack)
+                next(along)
+            members = next(along)
+        if state.stack in members or any(
+            _stack_covered(state.stack, m) for m in members
         ):
             continue
         where = (
@@ -436,6 +462,7 @@ def random_shape(rng: random.Random, max_blocks: int = 30) -> GeneratorShape:
 
 
 _BYTE_BY_NAME = {spec.mnemonic: byte for byte, spec in OPCODES.items()}
+_ITEM_SIZE = {"label": 0, "op": 1, "push1": 2, "push_label": 3}
 
 
 class _Assembler:
@@ -459,16 +486,10 @@ class _Assembler:
     def assemble(self) -> bytes:
         offsets: dict[str, int] = {}
         offset = 0
-        for item in self.items:
-            kind = item[0]
+        for kind, arg in self.items:
             if kind == "label":
-                offsets[item[1]] = offset
-            elif kind == "op":
-                offset += 1
-            elif kind == "push1":
-                offset += 2
-            else:
-                offset += 3
+                offsets[arg] = offset
+            offset += _ITEM_SIZE[kind]
         if offset > 0xFFFF:
             raise ValueError("assembled program exceeds 16-bit addressing")
         out = bytearray()
@@ -486,36 +507,25 @@ class _Assembler:
         return bytes(out)
 
 
+# Stack-neutral filler snippets; "a" and "b" push the two bytes drawn.
+_FILLER = (
+    ("a", "POP"),
+    ("a", "b", "ADD", "POP"),
+    ("a", "DUP1", "POP", "POP"),
+    ("a", "b", "SWAP1", "POP", "POP"),
+    ("CALLDATASIZE", "POP"),
+    ("a", "ISZERO", "POP"),
+)
+
+
 def _emit_filler(asm: _Assembler, rng: random.Random, density: int) -> None:
     for _ in range(rng.randint(0, density)):
-        a, b = rng.randrange(256), rng.randrange(256)
-        snippet = rng.randrange(6)
-        if snippet == 0:
-            asm.push1(a)
-            asm.op("POP")
-        elif snippet == 1:
-            asm.push1(a)
-            asm.push1(b)
-            asm.op("ADD")
-            asm.op("POP")
-        elif snippet == 2:
-            asm.push1(a)
-            asm.op("DUP1")
-            asm.op("POP")
-            asm.op("POP")
-        elif snippet == 3:
-            asm.push1(a)
-            asm.push1(b)
-            asm.op("SWAP1")
-            asm.op("POP")
-            asm.op("POP")
-        elif snippet == 4:
-            asm.op("CALLDATASIZE")
-            asm.op("POP")
-        else:
-            asm.push1(a)
-            asm.op("ISZERO")
-            asm.op("POP")
+        pushed = {"a": rng.randrange(256), "b": rng.randrange(256)}
+        for item in _FILLER[rng.randrange(len(_FILLER))]:
+            if item in pushed:
+                asm.push1(pushed[item])
+            else:
+                asm.op(item)
 
 
 def generate_program(seed: int, shape: GeneratorShape = GeneratorShape()) -> Program:

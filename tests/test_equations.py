@@ -129,6 +129,44 @@ def test_state_at(shared):
         shared.system.state_at(0x01)  # immediate byte, no variable
 
 
+def test_members_along_matches_state_at(shared, two_height):
+    # Walking each entry context through its block gives state_at's members
+    # pc by pc, and leaves states as it found them.
+    for pipeline in (shared, two_height):
+        system = solve(pipeline.program)
+        before = dict(system.states)
+        for block in system.blocks:
+            for key in system.states.get(block.start_pc, {}):
+                walked = list(system.members_along(block.start_pc, key))
+                assert system.states == before
+                assert walked == [
+                    pipeline.system.state_at(ins.pc).get(key, frozenset())
+                    for ins in block.body
+                ]
+
+
+def test_members_along_follows_stored_interior_states():
+    # A state stored at an interior pc takes precedence, and the members
+    # after it derive from it, exactly as state_at derives them.
+    program = generate_program(7, GeneratorShape())
+    reference = solve(program)
+    block = next(
+        b for b in reference.blocks
+        if len(b.body) >= 4 and reference.states.get(b.start_pc)
+    )
+    key = next(iter(reference.states[block.start_pc]))
+    mid = block.body[1].pc
+    doctored = {key: frozenset(ss(m.n + 1) for m in reference.state_at(mid)[key])}
+    walked_system, derived_system = solve(program), solve(program)
+    walked_system.states[mid] = dict(doctored)
+    derived_system.states[mid] = dict(doctored)
+    walked = list(walked_system.members_along(block.start_pc, key))
+    assert walked == [
+        derived_system.state_at(ins.pc).get(key, frozenset()) for ins in block.body
+    ]
+    assert walked[2] != reference.state_at(block.body[2].pc)[key]
+
+
 def test_block_entry_images_are_identity(shared, two_height, linear, branch):
     # Fixpoints built from landing contributions map each block-entry key
     # to exactly itself: contexts arrive through fresh identity maps.

@@ -246,6 +246,21 @@ def test_enumerate_single_halt():
     assert not traces.truncated
 
 
+def test_enumerate_shares_equal_stacks():
+    # States whose stacks are equal hold one StackState, and every recorded
+    # successor tuple is what step gives on its own.
+    program = generate_program(3, random_shape(random.Random(3)))
+    traces = enumerate_states(program)
+    shared: dict[StackState, StackState] = {}
+    for state in traces.states:
+        assert shared.setdefault(state.stack, state.stack) is state.stack
+    assert len(shared) < len(traces.states)
+    for state, successors in traces.successors.items():
+        assert step(program, state) == successors
+        for target in successors:
+            assert shared[target.stack] is target.stack
+
+
 def test_enumerate_linear_exact(linear):
     traces = linear.traces
     assert len(traces.states) == 4
@@ -373,6 +388,16 @@ def test_truncated_closure_is_inconclusive(linear):
     assert not verdict.passed
     walk_verdict = check_walk(linear.program, linear.cfg, linear.system, traces)
     assert walk_verdict.status == "inconclusive"
+
+
+def test_check_jumps_to_keeps_no_derived_state(shared, two_height):
+    # Interior members are walked, not derived into the system.
+    for analysis in (shared, two_height):
+        system = solve(analysis.program)
+        before = dict(system.states)
+        verdict = check_jumps_to(analysis.program, system, analysis.traces)
+        assert verdict.passed
+        assert system.states == before
 
 
 def test_dropped_context_is_caught(shared):

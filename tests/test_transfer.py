@@ -350,6 +350,7 @@ def test_update_stack_matches_the_old_kernel(state, jumpdests, pc, value):
     for spec in SPECS:
         width = spec.immediate_len
         ins = Instruction(pc, spec, value % 256**width if width else None)
-        assert outcome(update_stack, ins, state, jumpdests) == outcome(
-            old_update_stack, ins, state, jumpdests
-        )
+        got = outcome(update_stack, ins, state, jumpdests)
+        assert got == outcome(old_update_stack, ins, state, jumpdests)
+        if isinstance(got, StackState):  # built unchecked, so check it here
+            assert StackState(*got) == got
