@@ -15,7 +15,6 @@ from .domain import (
     StackState,
     bottom,
     idmap,
-    img,
     join,
     leq,
 )
@@ -67,7 +66,6 @@ __all__ = [
     "export_json",
     "generate_program",
     "idmap",
-    "img",
     "initial_state",
     "join",
     "leq",

@@ -6,12 +6,17 @@ the next instruction is a JUMPDEST, or at the end of the code. Instructions
 that satisfy no start condition and follow a closed block (dead filler
 between a halt and the next JUMPDEST) belong to no block at all and are
 reported separately as unreached.
+
+partition_blocks finds the boundaries in one scan over the instructions and
+slices each block's body out of the program's instruction tuple. A Block is
+a tuple built from that slice, so start_pc and end_pc are the pcs of its
+first and last instruction by construction.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .bytecode import Instruction, Program, JUMPDEST_BYTE, JUMPI_BYTE, JUMP_BYTE
 
@@ -26,8 +31,7 @@ class Terminator(enum.Enum):
     CODE_END = "code_end"
 
 
-@dataclass(frozen=True)
-class Block:
+class Block(NamedTuple):
     """Maximal straight-line instruction run."""
 
     start_pc: int
@@ -35,62 +39,46 @@ class Block:
     body: tuple[Instruction, ...]
     terminator: Terminator
 
-    def __post_init__(self):
-        assert self.body and self.body[0].pc == self.start_pc
-        assert self.body[-1].pc == self.end_pc
-
     @property
     def last(self) -> Instruction:
         return self.body[-1]
 
 
-def _terminator_for(last: Instruction, next_is_jumpdest: bool) -> Terminator:
-    if last.spec.byte_value == JUMP_BYTE:
-        return Terminator.JUMP
-    if last.spec.byte_value == JUMPI_BYTE:
-        return Terminator.JUMPI
-    if last.spec.halts:
-        return Terminator.END
-    if next_is_jumpdest:
-        return Terminator.FALL_TO_JUMPDEST
-    return Terminator.CODE_END
-
-
 def partition_blocks(program: Program) -> tuple[tuple[Block, ...], frozenset[int]]:
     """Split a program into blocks plus the set of unreached pcs."""
     instructions = program.instructions
-    blocks: list[Block] = []
+    # (first index, index past the last, terminator) of each block.
+    cuts: list[tuple[int, int, Terminator]] = []
     unreached: list[int] = []
-    current: list[Instruction] = []
-
-    def close(next_is_jumpdest: bool):
-        if not current:
-            return
-        last = current[-1]
-        blocks.append(
-            Block(
-                start_pc=current[0].pc,
-                end_pc=last.pc,
-                body=tuple(current),
-                terminator=_terminator_for(last, next_is_jumpdest),
-            )
-        )
-        current.clear()
-
-    prev_byte: int | None = None
-    for idx, ins in enumerate(instructions):
-        byte = ins.spec.byte_value
-        starts = ins.pc == 0 or byte == JUMPDEST_BYTE or prev_byte == JUMPI_BYTE
-        if current and byte == JUMPDEST_BYTE:
-            close(next_is_jumpdest=True)
-        if not current and not starts:
+    first = 0  # index of the open block's first instruction; None when closed
+    for i, ins in enumerate(instructions):
+        spec = ins.spec
+        byte = spec.byte_value
+        if byte == JUMPDEST_BYTE:
+            if first is not None and first < i:
+                cuts.append((first, i, Terminator.FALL_TO_JUMPDEST))
+            first = i
+        elif first is None:
             unreached.append(ins.pc)
-            prev_byte = byte
+            if byte == JUMPI_BYTE:  # even an unreached JUMPI opens a block
+                first = i + 1
             continue
-        current.append(ins)
-        nxt = instructions[idx + 1] if idx + 1 < len(instructions) else None
-        if ins.spec.is_jump or ins.spec.halts or nxt is None:
-            close(next_is_jumpdest=nxt is not None and nxt.spec.byte_value == JUMPDEST_BYTE)
-        prev_byte = byte
+        if spec.is_jump or spec.halts:
+            if byte == JUMP_BYTE:
+                cuts.append((first, i + 1, Terminator.JUMP))
+                first = None
+            elif byte == JUMPI_BYTE:
+                cuts.append((first, i + 1, Terminator.JUMPI))
+                first = i + 1
+            else:
+                cuts.append((first, i + 1, Terminator.END))
+                first = None
+    if first is not None and first < len(instructions):
+        cuts.append((first, len(instructions), Terminator.CODE_END))
 
+    new = tuple.__new__
+    blocks = []
+    for start, stop, terminator in cuts:
+        body = instructions[start:stop]
+        blocks.append(new(Block, (body[0].pc, body[-1].pc, body, terminator)))
     return tuple(blocks), frozenset(unreached)

@@ -194,9 +194,7 @@ class Program:
     code_len: int
     jumpdests: frozenset[int]
     diagnostics: tuple[str, ...] = ()
-    _by_pc: dict[int, Instruction] = field(
-        default_factory=dict, repr=False, compare=False
-    )
+    _by_pc: dict[int, Instruction] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(
@@ -248,32 +246,40 @@ def decode_bytecode(hex_text: str) -> Program:
             offset=len(digits) - 1,
         )
     code = bytes.fromhex(digits)
+    code_len = len(code)
 
+    # Every field is well formed by construction, so each Instruction is
+    # built as a plain tuple, without the NamedTuple constructor's frame.
+    new = tuple.__new__
     instructions: list[Instruction] = []
+    append = instructions.append
     diagnostics: list[str] = []
-    jumpdests: set[int] = set()
+    jumpdests: list[int] = []
     pc = 0
-    while pc < len(code):
+    while pc < code_len:
         byte = code[pc]
         spec = _SPECS[byte]
-        immediate = None
-        if spec.immediate_len:
-            raw = code[pc + 1 : pc + 1 + spec.immediate_len]
-            if len(raw) < spec.immediate_len:
+        width = spec.immediate_len
+        if width:
+            end = pc + 1 + width
+            immediate = int.from_bytes(code[pc + 1 : end], "big")
+            if end > code_len:
                 diagnostics.append(
                     f"{spec.mnemonic} at pc 0x{pc:x} runs past end of code;"
                     f" immediate zero padded"
                 )
-                raw = raw + bytes(spec.immediate_len - len(raw))
-            immediate = int.from_bytes(raw, "big")
-        if byte == JUMPDEST_BYTE:
-            jumpdests.add(pc)
-        instructions.append(Instruction(pc, spec, immediate))
-        pc += 1 + spec.immediate_len
+                immediate <<= 8 * (end - code_len)  # zeros for the missing bytes
+            append(new(Instruction, (pc, spec, immediate)))
+            pc = end
+        else:
+            if byte == JUMPDEST_BYTE:
+                jumpdests.append(pc)
+            append(new(Instruction, (pc, spec, None)))
+            pc += 1
 
     return Program(
         instructions=tuple(instructions),
-        code_len=len(code),
+        code_len=code_len,
         jumpdests=frozenset(jumpdests),
         diagnostics=tuple(diagnostics),
     )

@@ -10,7 +10,8 @@ them so). That makes ids independent of solver visit order.
 build_cfg numbers the contexts once: Cfg.vertices maps each replica id to
 the entry context it stands for, and both exports read contexts from it.
 The inverse map, (block, context) to id, lives only in build_cfg, which
-wires the edges with it.
+wires the edges with it. It visits only the blocks the solver entered, so
+it derives no state of a dead block.
 
 Jump edges connect a block ending in JUMP or JUMPI to the replicas of the
 destinations tracked on top of the stack. Next edges cover the fall-through
@@ -20,8 +21,11 @@ equations.block_exits, the rule the solver's constraints are built from.
 export_json writes the canonical JSON document (format_version 1) directly
 as text for its fixed schema. The bytes equal those of
 json.dumps(document, sort_keys=True, indent=2) plus a newline, without the
-pure-Python encoder that any indent selects. ReplicaId is a NamedTuple, so
-the exports sort vertices and edges with plain tuple comparison.
+pure-Python encoder that any indent selects. Each part of the layout is an
+f-string literal, compiled once with the module, and an entry context that
+tracks no slot is written as {} without building its map. ReplicaId is a
+NamedTuple, so the exports sort vertices and edges with plain tuple
+comparison.
 """
 
 from __future__ import annotations
@@ -56,17 +60,20 @@ class Cfg:
 
 def build_cfg(system: EquationSystem) -> Cfg:
     """Number each block's entry contexts, then wire the edges."""
+    # Both solvers store the state at every block start they enter. A block
+    # whose start holds none was never entered: it has no replicas and no
+    # edges, and none of its states need deriving.
+    entered = [block for block in system.blocks if system.states.get(block.start_pc)]
+    new = tuple.__new__
     vertices = {
-        ReplicaId(block.start_pc, i): s
-        for block in system.blocks
+        new(ReplicaId, (block.start_pc, i)): s
+        for block in entered
         for i, s in enumerate(system.entry_contexts(block.start_pc), 1)
     }
     ids = {(r.block_start, s): r for r, s in vertices.items()}
 
     edges: dict[str, list[tuple[ReplicaId, ReplicaId]]] = {"jump": [], "next": []}
-    for block in system.blocks:
-        if not system.state_at(block.start_pc):
-            continue  # never entered, no replicas and no edges
+    for block in entered:
         exits = block_exits(system.program, block.last, system.state_at(block.end_pc))
         for context, kind, target, landed in exits:
             edges[kind].append((ids[block.start_pc, context], ids[target, landed]))
@@ -75,79 +82,38 @@ def build_cfg(system: EquationSystem) -> Cfg:
         vertices=vertices,
         jump_edges=frozenset(edges["jump"]),
         next_edges=frozenset(edges["next"]),
-        entry=ids[0, StackState.make(0)],
+        entry=ids[0, StackState(0)],
     )
 
 
 def export_dot(cfg: Cfg, system: EquationSystem) -> str:
-    """Graphviz rendering: solid jump edges, dashed next edges."""
-    lines = ["digraph cfg {"]
+    """Graphviz rendering: solid jump edges, dashed next edges. Vertex
+    names are ReplicaId.name, formatted inline."""
     labels = {
-        block.start_pc: "\\n".join(
-            [f"0x{block.start_pc:02x}..0x{block.end_pc:02x}"]
-            + [ins.render() for ins in block.body]
-        )
+        block.start_pc: f"0x{block.start_pc:02x}..0x{block.end_pc:02x}\\n"
+        + "\\n".join([ins.render() for ins in block.body])
         for block in system.blocks
     }
-    for replica in sorted(cfg.vertices):
-        lines.append(f'  {replica.name()} [label="{labels[replica.block_start]}"];')
-    for a, b in sorted(cfg.jump_edges):
-        lines.append(f"  {a.name()} -> {b.name()};")
-    for a, b in sorted(cfg.next_edges):
-        lines.append(f"  {a.name()} -> {b.name()} [style=dashed];")
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+    lines = ["digraph cfg {"]
+    lines += [
+        f'  B_0x{start:02x}_{i} [label="{labels[start]}"];'
+        for start, i in sorted(cfg.vertices)
+    ]
+    lines += [
+        f"  B_0x{a:02x}_{i} -> B_0x{b:02x}_{j};"
+        for (a, i), (b, j) in sorted(cfg.jump_edges)
+    ]
+    lines += [
+        f"  B_0x{a:02x}_{i} -> B_0x{b:02x}_{j} [style=dashed];"
+        for (a, i), (b, j) in sorted(cfg.next_edges)
+    ]
+    lines.append("}\n")
+    return "\n".join(lines)
 
 
-# Templates of the format_version 1 document, laid out as
+# The format_version 1 document below is laid out as
 # json.dumps(document, sort_keys=True, indent=2) lays it out.
-_DOCUMENT = """\
-{{
-  "blocks": {blocks},
-  "edges": {edges},
-  "entry": {{
-    "block": {entry.block_start},
-    "id": {entry.id}
-  }},
-  "format_version": 1,
-  "program": {{
-    "code_len": {code_len},
-    "jumpdests": {jumpdests},
-    "unreached": {unreached}
-  }},
-  "vertices": {vertices}
-}}
-"""
-_BLOCK = """\
-    {{
-      "end": {},
-      "instructions": [
-        "{}"
-      ],
-      "start": {},
-      "terminator": "{}"
-    }}"""
-_VERTEX = """\
-    {{
-      "block": {},
-      "entry": {{
-        "n": {},
-        "sigma": {}
-      }},
-      "id": {}
-    }}"""
-_EDGE = """\
-    {{
-      "from": {{
-        "block": {},
-        "id": {}
-      }},
-      "kind": "{}",
-      "to": {{
-        "block": {},
-        "id": {}
-      }}
-    }}"""
+_INSTRUCTION_SEP = '",\n        "'
 
 
 def _list(items: list[str], indent: str) -> str:
@@ -162,14 +128,14 @@ def _ints(values, indent: str) -> str:
 
 
 def _sigma(s: StackState) -> str:
-    """The tracked map of an entry context, opened on _VERTEX's line
-    indented by 8. sort_keys orders the positions as strings: "10" before
-    "2"."""
-    tracked = sorted((str(pos), dests) for pos, dests in s.sigma)
-    if not tracked:
-        return "{}"
+    """The tracked map of an entry context that tracks a slot, opened on a
+    vertex's line indented by 8. sort_keys orders the positions as strings:
+    "10" before "2"."""
     pad = " " * 10
-    items = [f'{pad}"{pos}": {_ints(dests, pad)}' for pos, dests in tracked]
+    items = [
+        f'{pad}"{pos}": {_ints(dests, pad)}'
+        for pos, dests in sorted((str(pos), dests) for pos, dests in s.sigma)
+    ]
     return "{\n" + ",\n".join(items) + "\n        }"
 
 
@@ -181,32 +147,58 @@ def export_json(cfg: Cfg, system: EquationSystem) -> str:
     """
     program = system.program
     blocks = [
-        _BLOCK.format(
-            b.end_pc,
-            '",\n        "'.join([ins.render() for ins in b.body]),
-            b.start_pc,
-            b.terminator.value,
-        )
-        for b in sorted(system.blocks, key=lambda b: b.start_pc)
+        f"""    {{
+      "end": {b.end_pc},
+      "instructions": [
+        "{_INSTRUCTION_SEP.join([ins.render() for ins in b.body])}"
+      ],
+      "start": {b.start_pc},
+      "terminator": "{b.terminator.value}"
+    }}"""
+        for b in sorted(system.blocks)
     ]
     vertices = [
-        _VERTEX.format(r.block_start, s.n, _sigma(s), r.id)
-        for r, s in sorted(cfg.vertices.items())
+        f"""    {{
+      "block": {start},
+      "entry": {{
+        "n": {s.n},
+        "sigma": {_sigma(s) if s.sigma else '{}'}
+      }},
+      "id": {i}
+    }}"""
+        for (start, i), s in sorted(cfg.vertices.items())
     ]
     edges = [
-        _EDGE.format(a.block_start, a.id, kind, b.block_start, b.id)
+        f"""    {{
+      "from": {{
+        "block": {a},
+        "id": {i}
+      }},
+      "kind": "{kind}",
+      "to": {{
+        "block": {b},
+        "id": {j}
+      }}
+    }}"""
         for kind, pairs in (("jump", cfg.jump_edges), ("next", cfg.next_edges))
-        for a, b in sorted(pairs)
+        for (a, i), (b, j) in sorted(pairs)
     ]
-    return _DOCUMENT.format(
-        blocks=_list(blocks, "  "),
-        edges=_list(edges, "  "),
-        entry=cfg.entry,
-        code_len=program.code_len,
-        jumpdests=_ints(sorted(program.jumpdests), "    "),
-        unreached=_ints(sorted(system.unreached), "    "),
-        vertices=_list(vertices, "  "),
-    )
+    return f"""{{
+  "blocks": {_list(blocks, "  ")},
+  "edges": {_list(edges, "  ")},
+  "entry": {{
+    "block": {cfg.entry.block_start},
+    "id": {cfg.entry.id}
+  }},
+  "format_version": 1,
+  "program": {{
+    "code_len": {program.code_len},
+    "jumpdests": {_ints(sorted(program.jumpdests), "    ")},
+    "unreached": {_ints(sorted(system.unreached), "    ")}
+  }},
+  "vertices": {_list(vertices, "  ")}
+}}
+"""
 
 
 def cfg_from_json(text: str) -> Cfg:

@@ -80,8 +80,12 @@ class StackState(_Stack):
         return None
 
     def top_destinations(self) -> tuple[int, ...] | None:
-        """Destination set at the top of the stack, if tracked."""
-        return self.get(self.n - 1) if self.n > 0 else None
+        """Destination set at the top of the stack, if tracked. sigma is
+        sorted by position, so only its last slot can be the top."""
+        sigma = self.sigma
+        if sigma and sigma[-1][0] == self.n - 1:
+            return sigma[-1][1]
+        return None
 
     def render(self) -> str:
         inner = ", ".join(
@@ -100,11 +104,6 @@ AbstractState = dict[StackState, frozenset[StackState]]
 
 def bottom() -> AbstractState:
     return {}
-
-
-def img(pi: AbstractState, s: StackState) -> frozenset[StackState]:
-    """Image of one entry context; empty when the context is absent."""
-    return pi.get(s, frozenset())
 
 
 def join(p1: AbstractState, p2: AbstractState) -> AbstractState:

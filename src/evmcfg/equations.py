@@ -199,7 +199,7 @@ class EquationSystem:
 
 
 def initial_state() -> AbstractState:
-    return idmap(StackState.make(0))
+    return idmap(StackState(0))
 
 
 def _jump_members(

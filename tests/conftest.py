@@ -9,7 +9,7 @@ import pytest
 from hypothesis import strategies as st
 
 import evmcfg
-from evmcfg import Analysis, StackState, analyze
+from evmcfg import Analysis, StackState, analyze, generate_program, random_shape
 from evmcfg.domain import MAX_STACK
 
 LINEAR_HEX = "6003565b00"
@@ -45,6 +45,52 @@ def shift_register_hex(k: int) -> str:
         + bytes.fromhex("56")
     )
     return code.hex()
+
+
+# The inputs the fuzz workload of bench/workloads.py starts with: the README
+# fixtures, a loop, and three inputs whose entry contexts grow without bound.
+FUZZ_FIXED = (
+    LINEAR_HEX,
+    BRANCH_HEX,
+    SHARED_HEX,
+    "5b600160005700",
+    "5b6000600056",
+    "5b5f600056c091611500575f008091815b81",
+    "600b5b6007600256585b565b",
+)
+
+
+def jump_biased_hex(rng: random.Random) -> str:
+    """1-64 random bytes, biased to JUMPDEST, JUMP, JUMPI and PUSH1 of an
+    in-range pc."""
+    length = rng.randint(1, 64)
+    out = bytearray()
+    while len(out) < length:
+        draw = rng.random()
+        if draw < 0.12:
+            out.append(0x5B)
+        elif draw < 0.20:
+            out.append(0x56)
+        elif draw < 0.28:
+            out.append(0x57)
+        elif draw < 0.45:
+            out += bytes((0x60, rng.randrange(length)))
+        else:
+            out.append(rng.randrange(256))
+    return bytes(out[:length]).hex()
+
+
+def fuzz_inputs(seed: int, count: int) -> list[str]:
+    """The first count inputs of the fuzz benchmark workload for seed."""
+    rng = random.Random(seed)
+    drawn = [jump_biased_hex(rng) for _ in range(count - len(FUZZ_FIXED))]
+    return list(FUZZ_FIXED[:count]) + drawn
+
+
+def generated_hex(seed: int) -> str:
+    """The program of generator seed seed under random_shape, as hex; the
+    corpus workload's input i for run seed s is generated_hex(s * 10**6 + i)."""
+    return generate_program(seed, random_shape(random.Random(seed))).to_bytes().hex()
 
 
 # Import root of the package under test (src in a checkout, site-packages in

@@ -1,14 +1,26 @@
-"""Basic-block partitioning."""
+"""Basic-block partitioning, and the front end against its reference."""
 
 from __future__ import annotations
 
-from hypothesis import given
+import random
+
+import pytest
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from evmcfg import decode_bytecode, partition_blocks
-from evmcfg.blocks import Terminator
+from evmcfg import Instruction, Program, decode_bytecode, partition_blocks
+from evmcfg.blocks import Block, Terminator
+from evmcfg.bytecode import (
+    _NON_HEX,
+    _SPECS,
+    JUMPDEST_BYTE,
+    JUMPI_BYTE,
+    JUMP_BYTE,
+    _clean_hex,
+)
+from evmcfg.errors import DecodeError
 
-from conftest import BRANCH_HEX, LINEAR_HEX, SHARED_HEX
+from conftest import BRANCH_HEX, LINEAR_HEX, SHARED_HEX, fuzz_inputs, generated_hex
 
 
 def blocks_of(hex_text):
@@ -133,3 +145,177 @@ def test_terminator_classification(raw: bytes):
         else:
             assert block.terminator is Terminator.CODE_END
             assert not program.has_instruction(last.next_pc)
+
+
+def test_block_bounds_and_coverage_on_generated_and_fuzz_inputs():
+    # start_pc and end_pc are the pcs of a block's first and last
+    # instruction, and blocks plus unreached pcs hold every instruction once.
+    inputs = [generated_hex(seed) for seed in range(40)] + fuzz_inputs(1, 1000)
+    for hex_text in inputs:
+        program = decode_bytecode(hex_text)
+        blocks, unreached = partition_blocks(program)
+        pcs = [ins.pc for block in blocks for ins in block.body]
+        for block in blocks:
+            assert block.start_pc == block.body[0].pc
+            assert block.end_pc == block.body[-1].pc
+        assert sorted(pcs + list(unreached)) == [i.pc for i in program.instructions]
+
+
+# ------------------------------------------------- reference front end
+
+# decode_bytecode and partition_blocks as they were before each became one
+# scan building plain tuples, kept verbatim (Block built by keyword) as the
+# references for the instructions, diagnostics, errors and blocks.
+
+def reference_decode_bytecode(hex_text: str) -> Program:
+    digits = _clean_hex(hex_text)
+    bad = _NON_HEX.search(digits)
+    if bad is not None:
+        raise DecodeError(
+            f"invalid hex digit {bad.group()!r} at offset {bad.start()}",
+            offset=bad.start(),
+        )
+    if len(digits) % 2 != 0:
+        raise DecodeError(
+            f"odd number of hex digits, dangling nibble at offset {len(digits) - 1}",
+            offset=len(digits) - 1,
+        )
+    code = bytes.fromhex(digits)
+
+    instructions: list[Instruction] = []
+    diagnostics: list[str] = []
+    jumpdests: set[int] = set()
+    pc = 0
+    while pc < len(code):
+        byte = code[pc]
+        spec = _SPECS[byte]
+        immediate = None
+        if spec.immediate_len:
+            raw = code[pc + 1 : pc + 1 + spec.immediate_len]
+            if len(raw) < spec.immediate_len:
+                diagnostics.append(
+                    f"{spec.mnemonic} at pc 0x{pc:x} runs past end of code;"
+                    f" immediate zero padded"
+                )
+                raw = raw + bytes(spec.immediate_len - len(raw))
+            immediate = int.from_bytes(raw, "big")
+        if byte == JUMPDEST_BYTE:
+            jumpdests.add(pc)
+        instructions.append(Instruction(pc, spec, immediate))
+        pc += 1 + spec.immediate_len
+
+    return Program(
+        instructions=tuple(instructions),
+        code_len=len(code),
+        jumpdests=frozenset(jumpdests),
+        diagnostics=tuple(diagnostics),
+    )
+
+
+def _reference_terminator(last: Instruction, next_is_jumpdest: bool) -> Terminator:
+    if last.spec.byte_value == JUMP_BYTE:
+        return Terminator.JUMP
+    if last.spec.byte_value == JUMPI_BYTE:
+        return Terminator.JUMPI
+    if last.spec.halts:
+        return Terminator.END
+    if next_is_jumpdest:
+        return Terminator.FALL_TO_JUMPDEST
+    return Terminator.CODE_END
+
+
+def reference_partition_blocks(program: Program):
+    instructions = program.instructions
+    blocks: list[Block] = []
+    unreached: list[int] = []
+    current: list[Instruction] = []
+
+    def close(next_is_jumpdest: bool):
+        if not current:
+            return
+        last = current[-1]
+        blocks.append(
+            Block(
+                start_pc=current[0].pc,
+                end_pc=last.pc,
+                body=tuple(current),
+                terminator=_reference_terminator(last, next_is_jumpdest),
+            )
+        )
+        current.clear()
+
+    prev_byte: int | None = None
+    for idx, ins in enumerate(instructions):
+        byte = ins.spec.byte_value
+        starts = ins.pc == 0 or byte == JUMPDEST_BYTE or prev_byte == JUMPI_BYTE
+        if current and byte == JUMPDEST_BYTE:
+            close(next_is_jumpdest=True)
+        if not current and not starts:
+            unreached.append(ins.pc)
+            prev_byte = byte
+            continue
+        current.append(ins)
+        nxt = instructions[idx + 1] if idx + 1 < len(instructions) else None
+        if ins.spec.is_jump or ins.spec.halts or nxt is None:
+            close(next_is_jumpdest=nxt is not None and nxt.spec.byte_value == JUMPDEST_BYTE)
+        prev_byte = byte
+
+    return tuple(blocks), frozenset(unreached)
+
+
+def assert_front_end_matches_reference(hex_text: str) -> None:
+    try:
+        expected = reference_decode_bytecode(hex_text)
+    except DecodeError as err:
+        with pytest.raises(DecodeError) as got:
+            decode_bytecode(hex_text)
+        assert (got.value.offset, got.value.message) == (err.offset, err.message)
+        return
+    program = decode_bytecode(hex_text)
+    assert program.instructions == expected.instructions
+    assert all(type(ins) is Instruction for ins in program.instructions)
+    assert program.code_len == expected.code_len
+    assert program.jumpdests == expected.jumpdests
+    assert program.diagnostics == expected.diagnostics
+    blocks, unreached = partition_blocks(program)
+    expected_blocks, expected_unreached = reference_partition_blocks(expected)
+    assert [tuple(b) for b in blocks] == [tuple(b) for b in expected_blocks]
+    assert all(type(b) is Block for b in blocks)
+    assert unreached == expected_unreached
+
+
+@st.composite
+def front_end_bytes(draw) -> bytes:
+    """0-64 bytes biased to JUMPDEST, JUMP, JUMPI and PUSH1 of an in-range
+    pc, often ending in a PUSH whose immediate runs past the end."""
+    length = draw(st.integers(0, 64))
+    piece = st.one_of(
+        st.sampled_from([b"\x5b", b"\x56", b"\x57"]),
+        st.integers(0, max(length - 1, 0)).map(lambda pc: bytes((0x60, pc))),
+        st.binary(min_size=1, max_size=1),
+    )
+    tail = st.one_of(
+        st.just(b""),
+        st.integers(1, 32).flatmap(
+            lambda k: st.binary(max_size=k - 1).map(lambda imm: bytes((0x5F + k,)) + imm)
+        ),
+    )
+    end = draw(tail)
+    return b"".join(draw(st.lists(piece, max_size=length)))[: max(length - len(end), 0)] + end
+
+
+@settings(max_examples=300)
+@given(front_end_bytes())
+def test_front_end_matches_reference_on_biased_bytes(raw: bytes):
+    assert_front_end_matches_reference(raw.hex())
+
+
+@given(st.text(alphabet="0123456789abcdefABCDEFxXgz \n", max_size=24))
+def test_front_end_matches_reference_on_hex_text(text: str):
+    assert_front_end_matches_reference(text)
+
+
+def test_front_end_matches_reference_on_generated_programs():
+    rng = random.Random(0xB10C)
+    for _ in range(200):
+        assert_front_end_matches_reference(generated_hex(rng.getrandbits(32)))

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 import random
 
@@ -22,7 +23,16 @@ from evmcfg.blocks import Terminator
 from evmcfg.equations import EquationSystem
 from evmcfg.errors import AnalysisError, UnresolvedJumpError
 
-from conftest import BRANCH_HEX, LINEAR_HEX, SHARED_HEX, TWO_HEIGHT_HEX, ss
+from conftest import (
+    BRANCH_HEX,
+    LINEAR_HEX,
+    SHARED_HEX,
+    TWO_HEIGHT_HEX,
+    fuzz_inputs,
+    generated_hex,
+    jump_biased_hex,
+    ss,
+)
 
 
 def rid(block_start: int, id: int) -> ReplicaId:
@@ -290,10 +300,11 @@ def test_generated_graph_invariants():
         assert cfg_from_json(text) == cfg
 
 
-# ------------------------------------------------- export_json byte equality
+# ------------------------------------------------------ export byte equality
 
-# The json.dumps-based export_json that the direct writer replaced, kept
-# verbatim as the reference for the writer's bytes.
+# The json.dumps-based export_json and the ReplicaId.name-based export_dot
+# that the direct writers replaced, kept verbatim as the references for the
+# writers' bytes.
 
 def _ref_replicas(system):
     return {
@@ -359,10 +370,31 @@ def reference_export_json(cfg, system):
     return json.dumps(doc, sort_keys=True, indent=2) + "\n"
 
 
+def reference_export_dot(cfg, system):
+    lines = ["digraph cfg {"]
+    labels = {
+        block.start_pc: "\\n".join(
+            [f"0x{block.start_pc:02x}..0x{block.end_pc:02x}"]
+            + [ins.render() for ins in block.body]
+        )
+        for block in system.blocks
+    }
+    for replica in sorted(cfg.vertices):
+        lines.append(f'  {replica.name()} [label="{labels[replica.block_start]}"];')
+    for a, b in sorted(cfg.jump_edges):
+        lines.append(f"  {a.name()} -> {b.name()};")
+    for a, b in sorted(cfg.next_edges):
+        lines.append(f"  {a.name()} -> {b.name()} [style=dashed];")
+    lines.append("}")
+    return "\n".join(lines) + "\n"
+
+
 def assert_same_json(system):
+    """Both exports equal their references; returns the JSON text."""
     cfg = build_cfg(system)
     text = export_json(cfg, system)
     assert text == reference_export_json(cfg, system)
+    assert export_dot(cfg, system) == reference_export_dot(cfg, system)
     return text
 
 
@@ -409,33 +441,35 @@ def test_json_writer_matches_json_dumps_on_generated_programs():
         assert_same_json(solve(generate_program(seed, random_shape(random.Random(seed)))))
 
 
-def _jump_biased_bytes(rng: random.Random) -> str:
-    """1-64 random bytes, biased to JUMPDEST, JUMP, JUMPI and PUSH1 of an
-    in-range pc."""
-    length = rng.randint(1, 64)
-    out = bytearray()
-    while len(out) < length:
-        draw = rng.random()
-        if draw < 0.12:
-            out.append(0x5B)
-        elif draw < 0.20:
-            out.append(0x56)
-        elif draw < 0.28:
-            out.append(0x57)
-        elif draw < 0.45:
-            out += bytes((0x60, rng.randrange(length)))
-        else:
-            out.append(rng.randrange(256))
-    return bytes(out[:length]).hex()
-
-
 def test_json_writer_matches_json_dumps_on_random_inputs():
     rng = random.Random(0x1D)
     accepted = 0
     while accepted < 2000:
         try:
-            system = solve(decode_bytecode(_jump_biased_bytes(rng)))
+            system = solve(decode_bytecode(jump_biased_hex(rng)))
         except AnalysisError:
             continue
         assert_same_json(system)
         accepted += 1
+
+
+# sha256 of export_json then export_dot of every input below that solve
+# accepts, recorded before the writers were last rewritten: the first 200
+# corpus programs and the 5,007 fuzz inputs of benchmark seed 1.
+PINNED_EXPORTS = (2425, "42f26474b494ecebbd7033c082da65c8f8b3a8083a08e4d9929134ed66654350")
+
+
+def test_export_bytes_pinned_on_benchmark_inputs():
+    corpus = [generated_hex(1_000_000 + i) for i in range(200)]
+    digest = hashlib.sha256()
+    accepted = 0
+    for hex_text in corpus + fuzz_inputs(1, 5007):
+        try:
+            system = solve(decode_bytecode(hex_text))
+        except AnalysisError:
+            continue
+        cfg = build_cfg(system)
+        digest.update(export_json(cfg, system).encode())
+        digest.update(export_dot(cfg, system).encode())
+        accepted += 1
+    assert (accepted, digest.hexdigest()) == PINNED_EXPORTS

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from evmcfg import StackState, bottom, idmap, img, join, leq
+from evmcfg import StackState, bottom, idmap, join, leq
 from evmcfg.domain import MAX_STACK
 
 from conftest import abstract_states, ss, stack_states
@@ -160,13 +160,6 @@ def test_idmap():
     assert idmap(a) == {a: frozenset({a})}
 
 
-def test_img_missing_key_is_empty():
-    a, b = ss(0), ss(1, {0: [0x03]})
-    assert img(bottom(), a) == frozenset()
-    assert img(idmap(a), a) == frozenset({a})
-    assert img(idmap(a), b) == frozenset()
-
-
 def test_join_merges_pointwise():
     a, b, c = ss(0), ss(1, {0: [0x03]}), ss(1, {0: [0x10]})
     left = {a: frozenset({b})}
@@ -186,6 +179,11 @@ def test_leq_examples():
 
 
 # --------------------------------------------------- randomized lattice laws
+
+@given(stack_states())
+def test_top_destinations_reads_the_slot_at_the_top(s: StackState):
+    assert s.top_destinations() == (s.get(s.n - 1) if s.n > 0 else None)
+
 
 @given(stack_states())
 def test_states_hash_consistently(s: StackState):
