@@ -16,7 +16,9 @@ it derives no state of a dead block.
 Jump edges connect a block ending in JUMP or JUMPI to the replicas of the
 destinations tracked on top of the stack. Next edges cover the fall-through
 of a JUMPI and falling into a JUMPDEST-led block. Both come from
-equations.block_exits, the rule the solver's constraints are built from.
+equations.block_exits, the rule the solver's constraints are built from,
+called once per (entry context, member) at each entered block's last
+instruction.
 
 export_json writes the canonical JSON document (format_version 1) directly
 as text for its fixed schema. The bytes equal those of
@@ -74,9 +76,12 @@ def build_cfg(system: EquationSystem) -> Cfg:
 
     edges: dict[str, list[tuple[ReplicaId, ReplicaId]]] = {"jump": [], "next": []}
     for block in entered:
-        exits = block_exits(system.program, block.last, system.state_at(block.end_pc))
-        for context, kind, target, landed in exits:
-            edges[kind].append((ids[block.start_pc, context], ids[target, landed]))
+        for context, members in system.state_at(block.end_pc).items():
+            source = ids[block.start_pc, context]
+            for member in members:
+                exits = block_exits(system.program, block.last, context, member)
+                for kind, target, landed in exits:
+                    edges[kind].append((source, ids[target, landed]))
 
     return Cfg(
         vertices=vertices,
@@ -202,31 +207,37 @@ def export_json(cfg: Cfg, system: EquationSystem) -> str:
 
 
 def cfg_from_json(text: str) -> Cfg:
-    """Rebuild the graph of an exported document, entry contexts included."""
+    """Rebuild the graph of an exported document, entry contexts included.
+
+    Raises ValueError for text without the format_version 1 layout.
+    """
     doc = json.loads(text)
-    if doc.get("format_version") != 1:
-        raise ValueError("unsupported format_version")
-    vertices = {
-        ReplicaId(v["block"], v["id"]): StackState.make(
-            v["entry"]["n"],
-            {int(pos): dests for pos, dests in v["entry"]["sigma"].items()},
-        )
-        for v in doc["vertices"]
-    }
-    jump_edges = set()
-    next_edges = set()
-    for e in doc["edges"]:
-        edge = (
-            ReplicaId(e["from"]["block"], e["from"]["id"]),
-            ReplicaId(e["to"]["block"], e["to"]["id"]),
-        )
-        if e["kind"] == "jump":
-            jump_edges.add(edge)
-        elif e["kind"] == "next":
-            next_edges.add(edge)
-        else:
-            raise ValueError(f"unknown edge kind {e['kind']!r}")
-    entry = ReplicaId(doc["entry"]["block"], doc["entry"]["id"])
+    try:
+        if doc.get("format_version") != 1:
+            raise ValueError("unsupported format_version")
+        vertices = {
+            ReplicaId(v["block"], v["id"]): StackState.make(
+                v["entry"]["n"],
+                {int(pos): dests for pos, dests in v["entry"]["sigma"].items()},
+            )
+            for v in doc["vertices"]
+        }
+        jump_edges = set()
+        next_edges = set()
+        for e in doc["edges"]:
+            edge = (
+                ReplicaId(e["from"]["block"], e["from"]["id"]),
+                ReplicaId(e["to"]["block"], e["to"]["id"]),
+            )
+            if e["kind"] == "jump":
+                jump_edges.add(edge)
+            elif e["kind"] == "next":
+                next_edges.add(edge)
+            else:
+                raise ValueError(f"unknown edge kind {e['kind']!r}")
+        entry = ReplicaId(doc["entry"]["block"], doc["entry"]["id"])
+    except (AttributeError, KeyError, TypeError) as err:
+        raise ValueError(f"malformed document: {err!r}") from err
     return Cfg(
         vertices=vertices,
         jump_edges=frozenset(jump_edges),

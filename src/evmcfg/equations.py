@@ -19,14 +19,20 @@ contribute to their successors as follows:
     checked.
 
 The moves into a new block (the first three rules) are block_exits, which
-build_cfg also turns into the graph's edges.
+takes one member under one entry context. contributions loops it over the
+contexts of a state, and build_cfg turns its moves into the graph's edges.
+
+Two layers sit here: transfer, contributions, join, leq, the naive solver,
+verify_fixpoint and state_at work per pc on whole AbstractStates, as the
+equations are written; block_exits, the entry budget check and the worklist
+solver work on one (entry context, member) pair at a time.
 
 Every block start receives only fresh entry contexts, and a block body is
 straight-line code, so each entry context has exactly one member at every
 pc of its block. The worklist solver therefore moves entry contexts
 between block starts, one pop per (block, context) pair. Each popped
 context is stepped once through its block body but the last instruction,
-by update_stack; the last instruction then leaves the block through
+by update_stack, and its member at the last instruction goes straight to
 block_exits. An arity error names its pc and the entry context, as one
 raised through transfer does.
 
@@ -56,9 +62,9 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, field
 from types import MappingProxyType
-from typing import Callable, Iterable, Iterator, Mapping, NamedTuple
+from typing import Callable, Iterator, Mapping, NamedTuple
 
-from .blocks import Block, Terminator, partition_blocks
+from .blocks import Block, partition_blocks
 from .bytecode import Instruction, JUMPI_BYTE, Program
 from .domain import AbstractState, StackState, bottom, idmap, join, leq
 from .errors import (
@@ -171,7 +177,7 @@ class EquationSystem:
         jumpdests = self.program.jumpdests
         for prev, ins in zip((None,) + block.body, block.body):
             stored = states.get(ins.pc)
-            if stored is not None or prev is None or ins.pc == block.end_pc:
+            if stored is not None or prev is None:
                 members = (stored or {}).get(key, frozenset())
             else:
                 try:
@@ -202,66 +208,53 @@ def initial_state() -> AbstractState:
     return idmap(StackState(0))
 
 
-def _jump_members(
-    instr: Instruction, pi: AbstractState
-) -> list[tuple[StackState, StackState, tuple[int, ...]]]:
-    """(entry context, member, destinations) triples for a jump instruction."""
-    out = []
-    for key, members in pi.items():
-        for member in members:
-            dests = member.top_destinations()
-            if dests is None:
-                raise UnresolvedJumpError(
-                    f"jump at pc 0x{instr.pc:x} has no tracked destination on"
-                    f" top of stack (height {member.n}, entry context"
-                    f" {key.render()})",
-                    pc=instr.pc,
-                )
-            out.append((key, member, dests))
-    return out
-
-
 def block_exits(
-    program: Program, instr: Instruction, pi: AbstractState
-) -> list[tuple[StackState, str, int, StackState]]:
-    """(entry context, kind, target pc, landed state) per move into a new block.
+    program: Program, instr: Instruction, key: StackState, member: StackState
+) -> list[tuple[str, int, StackState]]:
+    """(kind, target pc, landed state) per move of member, entered under key,
+    into a new block.
 
     instr ends a block. A jump moves to every destination tracked on top of
     the stack ("jump"); a JUMPI, and an instruction falling into a JUMPDEST,
-    also move to the next pc ("next"). A halt, or running off the end of the
-    code, moves nowhere. Every member's top of stack is checked before any
-    update_stack: UnresolvedJumpError for an untracked target, then
+    also move to the next pc ("next"). A halt moves nowhere and does not
+    run; an instruction running off the end of the code runs, then moves
+    nowhere. The checks come in this order: UnresolvedJumpError for an
+    untracked target, the stack effect (its StackArityError names key), then
     InvalidTargetError for a tracked destination that is not a jump landing.
     """
     spec = instr.spec
     if spec.halts:
         return []
     jumpdests = program.jumpdests
-    falls = program.has_instruction(instr.next_pc)
+    dests: tuple[int, ...] = ()
     if spec.is_jump:
-        members = _jump_members(instr, pi)
-        falls = falls and spec.byte_value == JUMPI_BYTE
-    elif instr.next_pc in jumpdests:
-        members = [(key, member, ()) for key, ms in pi.items() for member in ms]
+        dests = member.top_destinations()
+        if dests is None:
+            raise UnresolvedJumpError(
+                f"jump at pc 0x{instr.pc:x} has no tracked destination on"
+                f" top of stack (height {member.n}, entry context"
+                f" {key.render()})",
+                pc=instr.pc,
+            )
+        falls = spec.byte_value == JUMPI_BYTE and program.has_instruction(instr.next_pc)
     else:
-        return []
+        falls = instr.next_pc in jumpdests
+    try:
+        landed = update_stack(instr, member, jumpdests)
+    except StackArityError as err:
+        raise with_entry_context(err, key) from None
     out = []
-    for key, member, dests in members:
-        try:
-            landed = update_stack(instr, member, jumpdests)
-        except StackArityError as err:
-            raise with_entry_context(err, key) from None
-        for dest in dests:
-            if dest not in jumpdests:
-                raise InvalidTargetError(
-                    f"jump at pc 0x{instr.pc:x} targets 0x{dest:x},"
-                    f" which is not a jump landing",
-                    pc=instr.pc,
-                    target=dest,
-                )
-            out.append((key, "jump", dest, landed))
-        if falls:
-            out.append((key, "next", instr.next_pc, landed))
+    for dest in dests:
+        if dest not in jumpdests:
+            raise InvalidTargetError(
+                f"jump at pc 0x{instr.pc:x} targets 0x{dest:x},"
+                f" which is not a jump landing",
+                pc=instr.pc,
+                target=dest,
+            )
+        out.append(("jump", dest, landed))
+    if falls:
+        out.append(("next", instr.next_pc, landed))
     return out
 
 
@@ -270,51 +263,49 @@ def contributions(
 ) -> list[tuple[int, AbstractState]]:
     """(target pc, contributed state) pairs for one instruction.
 
-    A move into a new block (see block_exits) opens a fresh entry context
-    there; any other fall-through keeps the entry contexts.
+    An instruction that ends a block contributes a fresh entry context per
+    move into a new block (see block_exits); any other fall-through keeps
+    the entry contexts.
     """
     if instr.spec.halts or not pi:
         return []
-    if instr.spec.is_jump or instr.next_pc in program.jumpdests:
+    next_pc = instr.next_pc
+    if (
+        instr.spec.is_jump
+        or next_pc in program.jumpdests
+        or not program.has_instruction(next_pc)
+    ):
         return [
             (target, idmap(landed))
-            for _key, _kind, target, landed in block_exits(program, instr, pi)
+            for key, members in pi.items()
+            for member in members
+            for _kind, target, landed in block_exits(program, instr, key, member)
         ]
-    if not program.has_instruction(instr.next_pc):
-        # Running off the end moves nowhere, but the instruction still runs:
-        # each member's stack effect is checked, then dropped.
-        transfer(instr, pi, program.jumpdests)
-        return []
-    return [(instr.next_pc, transfer(instr, pi, program.jumpdests))]
+    return [(next_pc, transfer(instr, pi, program.jumpdests))]
 
 
 def _check_entry_budget(
-    pc: int, heights: set[int], held: AbstractState, arriving: Iterable[StackState]
+    pc: int, heights: set[int], held: AbstractState, key: StackState
 ) -> None:
-    """Check the arriving entry contexts against the budgets of the block
-    at pc, entered with held at the heights in heights (kept up to date);
-    raise BudgetExceededError past either budget."""
-    contexts = len(held)
-    for key in arriving:
-        if key in held:
-            continue
-        if key.n not in heights:
-            if len(heights) == MAX_ENTRY_HEIGHTS:
-                raise BudgetExceededError(
-                    f"block at pc 0x{pc:x} is already entered at"
-                    f" {MAX_ENTRY_HEIGHTS} stack heights; entry context"
-                    f" {key.render()} would add another",
-                    pc=pc,
-                )
-            heights.add(key.n)
-        if contexts == MAX_ENTRY_CONTEXTS:
+    """Check the new entry context key against the budgets of the block at
+    pc, entered with held at the heights in heights (kept up to date); raise
+    BudgetExceededError past either budget."""
+    if key.n not in heights:
+        if len(heights) == MAX_ENTRY_HEIGHTS:
             raise BudgetExceededError(
-                f"block at pc 0x{pc:x} is already entered with"
-                f" {MAX_ENTRY_CONTEXTS} entry contexts; entry context"
+                f"block at pc 0x{pc:x} is already entered at"
+                f" {MAX_ENTRY_HEIGHTS} stack heights; entry context"
                 f" {key.render()} would add another",
                 pc=pc,
             )
-        contexts += 1
+        heights.add(key.n)
+    if len(held) == MAX_ENTRY_CONTEXTS:
+        raise BudgetExceededError(
+            f"block at pc 0x{pc:x} is already entered with"
+            f" {MAX_ENTRY_CONTEXTS} entry contexts; entry context"
+            f" {key.render()} would add another",
+            pc=pc,
+        )
 
 
 def _solve_worklist(
@@ -334,27 +325,19 @@ def _solve_worklist(
         start, key = pending.popleft()
         stats.pops += 1
         block = by_start[start]
-        code_end = block.terminator is Terminator.CODE_END
         end = key
         try:
             for ins in block.body[:-1]:
                 end = update_stack(ins, end, jumpdests)
-            if code_end:
-                # Running off the end moves nowhere, but the last
-                # instruction still runs.
-                update_stack(block.last, end, jumpdests)
         except StackArityError as err:
             raise with_entry_context(err, key) from None
-        ended = {key: frozenset((end,))}
         if len(block.body) > 1:
-            states.setdefault(block.end_pc, {}).update(ended)
-        if code_end:
-            continue
-        for _key, _kind, target, landed in block_exits(program, block.last, ended):
+            states.setdefault(block.end_pc, {})[key] = frozenset((end,))
+        for _kind, target, landed in block_exits(program, block.last, key, end):
             held = states.setdefault(target, {})
             if landed in held:
                 continue
-            _check_entry_budget(target, heights[target], held, (landed,))
+            _check_entry_budget(target, heights[target], held, landed)
             before = dict(held) if record else None
             held[landed] = frozenset((landed,))
             if record:
@@ -387,7 +370,9 @@ def _solve_naive(
                 if leq(contributed, held):
                     continue
                 if target in heights:
-                    _check_entry_budget(target, heights[target], held, contributed)
+                    # A block start receives one fresh context at a time.
+                    (key,) = contributed
+                    _check_entry_budget(target, heights[target], held, key)
                 value = join(held, contributed)
                 if record:
                     stats.updates.append((target, held, value))

@@ -422,7 +422,6 @@ class GeneratorShape:
     keeps the call structure acyclic.
     """
 
-    max_blocks: int = 30
     max_call_depth: int = 2
     filler_density: int = 2
     branch_count: int = 2
@@ -431,8 +430,8 @@ class GeneratorShape:
     junk_depth: int = 2
 
     def validate(self) -> None:
-        if self.max_blocks < 1 or self.max_call_depth < 1:
-            raise ValueError("shape bounds must be positive")
+        if self.max_call_depth < 1:
+            raise ValueError("max_call_depth must be positive")
         for name in ("filler_density", "branch_count", "callee_count", "junk_depth"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be non-negative")
@@ -444,7 +443,6 @@ def random_shape(rng: random.Random, max_blocks: int = 30) -> GeneratorShape:
     """Sample a shape whose block estimate stays inside max_blocks."""
     while True:
         shape = GeneratorShape(
-            max_blocks=max_blocks,
             max_call_depth=rng.choice((1, 1, 2)),
             filler_density=rng.randint(0, 3),
             branch_count=rng.randint(0, 4),

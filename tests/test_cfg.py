@@ -250,6 +250,33 @@ def test_json_rejects_other_versions(shared):
         cfg_from_json(json.dumps(doc))
 
 
+@pytest.mark.parametrize(
+    "text",
+    [
+        pytest.param("[]", id="not-an-object"),
+        pytest.param('{"format_version": 1}', id="no-vertices"),
+        pytest.param(
+            '{"format_version": 1, "vertices": [], "edges":'
+            ' [{"kind": "jump", "to": {"block": 0, "id": 1}}]}',
+            id="edge-without-from",
+        ),
+        pytest.param(
+            '{"format_version": 1, "vertices": [{"block": 0, "id": 1,'
+            ' "entry": {"n": 0, "sigma": []}}], "edges": []}',
+            id="sigma-not-an-object",
+        ),
+        pytest.param(
+            '{"format_version": 1, "vertices": 5, "edges": []}',
+            id="vertices-not-a-list",
+        ),
+        pytest.param("not json", id="not-json"),
+    ],
+)
+def test_json_rejects_malformed_documents(text):
+    with pytest.raises(ValueError):
+        cfg_from_json(text)
+
+
 def test_exports_deterministic(shared):
     # independent pipelines, byte-identical artifacts
     system_a = solve(shared.program)

@@ -28,6 +28,7 @@ from evmcfg.equations import (
     MAX_ENTRY_CONTEXTS,
     MAX_ENTRY_HEIGHTS,
     _check_entry_budget,
+    block_exits,
     contributions,
 )
 from evmcfg.errors import (
@@ -242,6 +243,72 @@ def test_jumpi_as_last_instruction_skips_fallthrough():
     assert got == [(0x00, idmap(ss(0)))]
 
 
+# ---------------------------------------------------------------- block_exits
+
+# Every case moves one member entered under KEY, which differs from every
+# member, so an error message that names the entry context names KEY.
+KEY = ss(5)
+
+
+@pytest.mark.parametrize(
+    "hex_text, pc, member, expected",
+    [
+        pytest.param(
+            "6003565b00", 0x2, ss(1, {0: [0x03]}), [("jump", 0x03, ss(0))],
+            id="jump-one-destination",
+        ),
+        pytest.param(
+            "5b5b56", 0x2, ss(1, {0: [0x00, 0x01]}),
+            [("jump", 0x00, ss(0)), ("jump", 0x01, ss(0))],
+            id="jump-two-destinations",
+        ),
+        pytest.param(
+            "6001600657005b00", 0x4, ss(2, {1: [0x06]}),
+            [("jump", 0x06, ss(0)), ("next", 0x05, ss(0))],
+            id="jumpi-mid-code",
+        ),
+        pytest.param(
+            "5b6001600057", 0x5, ss(2, {1: [0x00]}), [("jump", 0x00, ss(0))],
+            id="jumpi-last-instruction",
+        ),
+        pytest.param(
+            "60005b00", 0x0, ss(0), [("next", 0x02, ss(1))],
+            id="fall-into-jumpdest",
+        ),
+        # RETURN needs two items: a halt is not stepped at all.
+        pytest.param("f3", 0x0, ss(0), [], id="halt-on-empty-stack"),
+        pytest.param("6000", 0x0, ss(0), [], id="off-the-end"),
+    ],
+)
+def test_block_exits(hex_text, pc, member, expected):
+    program = decode_bytecode(hex_text)
+    assert block_exits(program, program.instruction_at(pc), KEY, member) == expected
+
+
+@pytest.mark.parametrize(
+    "hex_text, member, error",
+    [
+        # ADD as the last byte still runs, so its underflow raises.
+        pytest.param("01", ss(1), StackArityError, id="off-the-end-is-stepped"),
+        # "5700" is JUMPI at 0x0, then STOP at 0x1, which is no jump landing.
+        pytest.param("5700", ss(1), UnresolvedJumpError, id="unresolved-before-arity"),
+        pytest.param(
+            "5700", ss(1, {0: [0x01]}), StackArityError,
+            id="arity-before-invalid-target",
+        ),
+        pytest.param("5700", ss(2, {1: [0x01]}), InvalidTargetError, id="invalid-target"),
+    ],
+)
+def test_block_exits_checks_in_order(hex_text, member, error):
+    program = decode_bytecode(hex_text)
+    with pytest.raises(error) as exc:
+        block_exits(program, program.instruction_at(0), KEY, member)
+    assert type(exc.value) is error
+    assert exc.value.pc == 0
+    if error is not InvalidTargetError:
+        assert f"entry context {KEY.render()})" in exc.value.message
+
+
 # ------------------------------------------------------------ solver failure
 
 def test_unresolved_jump_empty_stack():
@@ -310,16 +377,16 @@ def test_entry_height_budget_counts_distinct_heights():
         entered[ss(n, {0: [0x10]})] = frozenset({ss(n, {0: [0x10]})})
     heights = {key.n for key in entered}
     # a new shape at a height already entered fits the budget
-    _check_entry_budget(0x10, heights, entered, idmap(ss(3, {1: [0x10]})))
+    _check_entry_budget(0x10, heights, entered, ss(3, {1: [0x10]}))
     with pytest.raises(BudgetExceededError) as exc:
-        _check_entry_budget(0x10, heights, entered, idmap(ss(MAX_ENTRY_HEIGHTS)))
+        _check_entry_budget(0x10, heights, entered, ss(MAX_ENTRY_HEIGHTS))
     assert exc.value.pc == 0x10
     assert ss(MAX_ENTRY_HEIGHTS).render() in exc.value.message
 
 
 def test_entry_context_budget_counts_new_contexts():
-    # MAX_ENTRY_CONTEXTS contexts at one height: one more raises, one already
-    # held does not
+    # MAX_ENTRY_CONTEXTS contexts at one height: one more raises. Both
+    # solvers check only a context the block does not hold yet.
     entered = {
         ss(2, {0: [i], 1: [j]}): frozenset({ss(2, {0: [i], 1: [j]})})
         for i in range(32)
@@ -327,10 +394,9 @@ def test_entry_context_budget_counts_new_contexts():
     }
     assert len(entered) == MAX_ENTRY_CONTEXTS
     heights = {2}
-    _check_entry_budget(0x10, heights, entered, idmap(ss(2, {0: [0], 1: [0]})))
     new = ss(2, {0: [0, 1]})
     with pytest.raises(BudgetExceededError) as exc:
-        _check_entry_budget(0x10, heights, entered, idmap(new))
+        _check_entry_budget(0x10, heights, entered, new)
     assert exc.value.pc == 0x10
     assert f"{MAX_ENTRY_CONTEXTS} entry contexts" in exc.value.message
     assert new.render() in exc.value.message

@@ -742,7 +742,7 @@ def test_transitions_agree_with_static_effect():
 def test_shape_validation():
     GeneratorShape().validate()
     with pytest.raises(ValueError):
-        GeneratorShape(max_blocks=0).validate()
+        GeneratorShape(max_call_depth=0).validate()
     with pytest.raises(ValueError):
         GeneratorShape(filler_density=-1).validate()
     with pytest.raises(ValueError):
@@ -755,7 +755,12 @@ def test_random_shape_deterministic_and_bounded():
     for seed in range(40):
         shape = random_shape(random.Random(seed))
         shape.validate()
-        assert shape.max_blocks <= 30
+        estimate = (
+            1
+            + 3 * shape.branch_count
+            + shape.callee_count * (shape.sites_per_callee + 2)
+        )
+        assert estimate <= 30
 
 
 def test_generate_program_deterministic():
