@@ -4,7 +4,7 @@ The pipeline: decode bytecode, partition it into basic blocks, solve a flow
 constraint system that tracks pushed jump destinations through the operand
 stack, and expand each block into one graph vertex per reaching stack
 shape. An executable reference semantics double-checks the result: it
-closes the concrete state space and maps each state to its replica.
+runs the bytecode block by block and checks each run against its replica.
 """
 
 from .blocks import Block, Terminator, partition_blocks

@@ -209,38 +209,41 @@ def export_json(cfg: Cfg, system: EquationSystem) -> str:
 def cfg_from_json(text: str) -> Cfg:
     """Rebuild the graph of an exported document, entry contexts included.
 
-    Raises ValueError for text without the format_version 1 layout.
+    Raises ValueError for text without the format_version 1 layout: among
+    others, a replica whose block or id is not an int, and an edge or entry
+    naming a replica that is not a vertex.
     """
+
+    def replica(ref: dict) -> ReplicaId:
+        if type(ref["block"]) is not int or type(ref["id"]) is not int:
+            raise ValueError(f"replica block and id must be ints: {ref!r}")
+        return ReplicaId(ref["block"], ref["id"])
+
     doc = json.loads(text)
     try:
         if doc.get("format_version") != 1:
             raise ValueError("unsupported format_version")
         vertices = {
-            ReplicaId(v["block"], v["id"]): StackState.make(
+            replica(v): StackState.make(
                 v["entry"]["n"],
                 {int(pos): dests for pos, dests in v["entry"]["sigma"].items()},
             )
             for v in doc["vertices"]
         }
-        jump_edges = set()
-        next_edges = set()
+        edges = {"jump": set(), "next": set()}
         for e in doc["edges"]:
-            edge = (
-                ReplicaId(e["from"]["block"], e["from"]["id"]),
-                ReplicaId(e["to"]["block"], e["to"]["id"]),
-            )
-            if e["kind"] == "jump":
-                jump_edges.add(edge)
-            elif e["kind"] == "next":
-                next_edges.add(edge)
-            else:
+            if e["kind"] not in edges:
                 raise ValueError(f"unknown edge kind {e['kind']!r}")
-        entry = ReplicaId(doc["entry"]["block"], doc["entry"]["id"])
+            edges[e["kind"]].add((replica(e["from"]), replica(e["to"])))
+        entry = replica(doc["entry"])
     except (AttributeError, KeyError, TypeError) as err:
         raise ValueError(f"malformed document: {err!r}") from err
+    named = {entry}.union(*edges["jump"], *edges["next"])
+    if not named <= vertices.keys():
+        raise ValueError(f"no vertex for replicas {sorted(named - vertices.keys())}")
     return Cfg(
         vertices=vertices,
-        jump_edges=frozenset(jump_edges),
-        next_edges=frozenset(next_edges),
+        jump_edges=frozenset(edges["jump"]),
+        next_edges=frozenset(edges["next"]),
         entry=entry,
     )

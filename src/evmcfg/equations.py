@@ -172,7 +172,8 @@ class EquationSystem:
         self, start_pc: int, key: StackState
     ) -> Iterator[frozenset[StackState]]:
         """state_at(pc).get(key, frozenset()) at each pc of the block that
-        starts at start_pc, in order, keeping none of the states it derives."""
+        starts at start_pc, in order, keeping none of the states it derives;
+        check_jumps_to zips it with each concrete run from that entry."""
         block, states = self._block_of(start_pc), self.states
         jumpdests = self.program.jumpdests
         for prev, ins in zip((None,) + block.body, block.body):

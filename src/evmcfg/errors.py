@@ -20,9 +20,12 @@ class AnalysisError(Exception):
         self.pc = pc
 
     def report(self) -> dict:
+        """kind and message, plus each of pc, offset and target the error
+        carries."""
         out: dict = {"kind": self.kind, "message": self.message}
-        if self.pc is not None:
-            out["pc"] = self.pc
+        for name in ("pc", "offset", "target"):
+            if getattr(self, name, None) is not None:
+                out[name] = getattr(self, name)
         return out
 
 
@@ -34,12 +37,6 @@ class DecodeError(AnalysisError):
     def __init__(self, message: str, offset: int | None = None):
         super().__init__(message)
         self.offset = offset
-
-    def report(self) -> dict:
-        out = super().report()
-        if self.offset is not None:
-            out["offset"] = self.offset
-        return out
 
 
 class StackArityError(AnalysisError):
@@ -62,12 +59,6 @@ class InvalidTargetError(AnalysisError):
     def __init__(self, message: str, pc: int | None = None, target: int | None = None):
         super().__init__(message, pc)
         self.target = target
-
-    def report(self) -> dict:
-        out = super().report()
-        if self.target is not None:
-            out["target"] = self.target
-        return out
 
 
 class BudgetExceededError(AnalysisError):

@@ -5,21 +5,21 @@ tracked slots hold the jump destinations a value may be, and whose other
 slots hold untracked values.
 JUMPI explores both branches, so the reachable state set over-approximates
 any single run. enumerate_states closes it breadth-first, loops included,
-and the checkers compare that closure against the static results through
-one map from each concrete state to its replica: a state at a block start
-names its own replica, the block and its stack, and every other state runs
-in the replica of its predecessor. Two replicas can reach one state (a
-JUMPDEST POP entered with two different targets), so the map is walked as
-(state, replica) pairs.
+over entry states: the initial state and the target of each crossing, a
+step from a jump or onto a JUMPDEST, told by step's result and not read
+from the system's blocks. Each entry runs straight through its block, and
+the closure keeps the run's states and its crossings. A run stands for
+one replica, its entry's block and stack; two entries can reach one state
+(a JUMPDEST POP entered with two different targets), each in its own run.
 
-  * check_jumps_to: the member of a state's replica at its pc must cover
-    the state's stack; at a block start, the stack must be an entry
-    context there. EquationSystem.members_along walks each context through
-    its block, so the check keeps no derived state in the system.
-  * check_walk: each transition into a block must follow a graph edge from
-    its source's replica to its target's, and the initial state must be
-    the entry vertex. The paper's soundness claim is exactly this: every
-    execution is a walk over the replica graph.
+  * check_jumps_to: the initial stack and each crossing's target must be an
+    entry context at its block start, and each run, zipped with
+    EquationSystem.members_along, must be covered by its context's member
+    at every pc. A run and its block in the system must be equally long.
+  * check_walk: each crossing must follow a graph edge from its run's
+    replica to its target's, and the initial state must be the entry
+    vertex. The paper's soundness claim is exactly this: every execution is
+    a walk over the replica graph.
 
 generate_program assembles randomized but well-formed test programs
 (straight-line filler, branch diamonds, shared subroutines entered from
@@ -63,17 +63,38 @@ class ConcreteState(NamedTuple):
         return f"(pc=0x{self.pc:x}, {self.stack.render()})"
 
 
+class Run(NamedTuple):
+    """One entry's run: its states from the entry on, and the sorted successors
+    of its last state, each an entry; None where the closure was cut."""
+
+    states: tuple[ConcreteState, ...]
+    crossings: tuple[ConcreteState, ...] | None
+
+
 @dataclass(frozen=True)
 class TraceSet:
-    """The concrete states reachable from the start, with their successors.
+    """The closure: runs maps each entry to its Run, in the order found.
 
-    successors holds every stepped state; when truncated, the closure was
-    cut and some states in states were never stepped.
-    """
+    When truncated, the closure was cut: the run being stepped stops short
+    and each entry still queued has a one-state run. states, successors and
+    transitions are views derived from the runs on each read."""
 
-    states: frozenset[ConcreteState]
-    successors: Mapping[ConcreteState, tuple[ConcreteState, ...]]
+    runs: Mapping[ConcreteState, Run]
     truncated: bool
+
+    @property
+    def states(self) -> frozenset[ConcreteState]:
+        return frozenset().union(*(run.states for run in self.runs.values()))
+
+    @property
+    def successors(self) -> dict[ConcreteState, tuple[ConcreteState, ...]]:
+        """Each stepped state's successors."""
+        out = {}
+        for states, crossings in self.runs.values():
+            out.update(zip(states, [(s,) for s in states[1:]]))
+            if crossings is not None:
+                out[states[-1]] = crossings
+        return out
 
     @property
     def transitions(self) -> frozenset[tuple[ConcreteState, ConcreteState]]:
@@ -153,11 +174,11 @@ def step(
 ) -> tuple[ConcreteState, ...]:
     """Successor states of one concrete state, sorted canonically.
 
-    Halting instructions and running off the end of the code produce no
-    successors. Jumps with an untracked target raise StuckStateError; a
-    tracked target that is not a JUMPDEST raises InvalidJumpError. Passing
-    one stacks dict to every step of a closure builds each distinct stack
-    once and shares it.
+    Halting instructions, even on too short a stack, and running off the
+    end of the code produce no successors. Jumps with an untracked target
+    raise StuckStateError; a tracked target that is not a JUMPDEST raises
+    InvalidJumpError. Passing one stacks dict to every step of a closure
+    builds each distinct stack once and shares it.
     """
     stacks = {} if stacks is None else stacks
     instr = program.instruction_at(state.pc)
@@ -167,36 +188,12 @@ def step(
 
     # The tracked slots, bottom first, so a tracked top slot comes last.
     n, sigma = state.stack
-
-    if spec.is_jump:
-        if not sigma or sigma[-1][0] != n - 1:
-            raise StuckStateError(
-                f"{spec.mnemonic} at pc 0x{instr.pc:x} pops an untracked"
-                f" jump target (stack height {n})",
-                pc=instr.pc,
-            )
-        targets = sigma[-1][1]
-        if n < spec.delta:
-            raise StackArityError(
-                f"{spec.mnemonic} at pc 0x{instr.pc:x} needs {spec.delta}"
-                f" stack items, found {n}",
-                pc=instr.pc,
-            )
-        floor = n - spec.delta
-        landed = _shared(stacks, floor, sigma[: _first_at_or_above(sigma, floor)])
-        successors = []
-        for dest in targets:
-            if dest not in program.jumpdests:
-                raise InvalidJumpError(
-                    f"jump at pc 0x{instr.pc:x} lands on 0x{dest:x}, which"
-                    f" is not a JUMPDEST",
-                    pc=instr.pc,
-                )
-            successors.append(ConcreteState(dest, landed))
-        if spec.byte_value == JUMPI_BYTE and program.has_instruction(instr.next_pc):
-            successors.append(ConcreteState(instr.next_pc, landed))
-        return tuple(sorted(set(successors)))
-
+    if spec.is_jump and (not sigma or sigma[-1][0] != n - 1):
+        raise StuckStateError(
+            f"{spec.mnemonic} at pc 0x{instr.pc:x} pops an untracked"
+            f" jump target (stack height {n})",
+            pc=instr.pc,
+        )
     if n < spec.delta:
         raise StackArityError(
             f"{spec.mnemonic} at pc 0x{instr.pc:x} needs {spec.delta} stack"
@@ -210,7 +207,23 @@ def step(
             pc=instr.pc,
         )
     next_pc = instr.next_pc
-    if not program.has_instruction(next_pc):
+    falls = program.has_instruction(next_pc)
+
+    if spec.is_jump:  # pops its operands and pushes nothing
+        landed = _shared(stacks, n_out, sigma[: _first_at_or_above(sigma, n_out)])
+        successors = set()
+        for dest in sigma[-1][1]:
+            if dest not in program.jumpdests:
+                raise InvalidJumpError(
+                    f"jump at pc 0x{instr.pc:x} lands on 0x{dest:x}, which"
+                    f" is not a JUMPDEST",
+                    pc=instr.pc,
+                )
+            successors.add(ConcreteState(dest, landed))
+        if spec.byte_value == JUMPI_BYTE and falls:
+            successors.add(ConcreteState(next_pc, landed))
+        return tuple(sorted(successors))
+    if not falls:
         return ()
 
     if spec.is_push:
@@ -237,79 +250,59 @@ def step(
 
 
 def initial_concrete_state() -> ConcreteState:
-    return ConcreteState(0, StackState.make(0))
+    return ConcreteState(0, StackState(0))
 
 
 def enumerate_states(program: Program, max_steps: int = DEFAULT_MAX_STEPS) -> TraceSet:
-    """Breadth-first closure of the concrete states reachable from the start.
+    """Breadth-first closure of the entries reachable from the start.
 
-    Records each stepped state's successors. max_steps bounds the closure's
-    transitions, hence its states; truncated says that it cut the closure.
-    A step error propagates with a partial_trace attribute, the chain of
-    first-found predecessors from the start, for diagnosis.
+    Runs each entry through its block. max_steps bounds the transitions,
+    counted step by step; truncated says that it cut the closure. A step
+    error propagates with a partial_trace attribute for diagnosis: the runs
+    of first-found entries from the start to the failing state.
     """
     if not program.instructions:
         raise AnalysisError("program has no instructions")
     start = initial_concrete_state()
     parents: dict[ConcreteState, ConcreteState | None] = {start: None}
+    runs: dict[ConcreteState, Run] = {}
     stacks = {start.stack: start.stack}
     queue = deque([start])
-    succ_map: dict[ConcreteState, tuple[ConcreteState, ...]] = {}
-    truncated = False
     steps = 0
 
     while queue:
-        current = queue.popleft()
+        entry = state = queue.popleft()
+        run = [state]
         try:
-            successors = step(program, current, stacks)
+            # A jump has two successors, or one on a JUMPDEST; a halt has
+            # none. So only a single successor off a JUMPDEST stays inside.
+            while True:
+                successors = step(program, state, stacks)
+                steps += len(successors)
+                if steps > max_steps or len(successors) != 1:
+                    break
+                (state,) = successors
+                if state.pc in program.jumpdests:
+                    break
+                run.append(state)
         except AnalysisError as err:
-            chain = [current]
-            while parents[chain[-1]] is not None:
-                chain.append(parents[chain[-1]])
-            err.partial_trace = tuple(reversed(chain))
+            runs[entry] = Run(tuple(run), None)
+            chain = []
+            while entry is not None:
+                chain.append(runs[entry].states)
+                entry = parents[entry]
+            err.partial_trace = tuple(itertools.chain.from_iterable(reversed(chain)))
             raise
-        steps += len(successors)
         if steps > max_steps:
-            truncated = True
-            break
-        succ_map[current] = successors
-        for nxt in successors:
-            if parents.setdefault(nxt, current) is current:  # first reached
-                queue.append(nxt)
+            runs[entry] = Run(tuple(run), None)
+            runs.update((rest, Run((rest,), None)) for rest in queue)
+            return TraceSet(runs, True)
+        runs[entry] = Run(tuple(run), successors)
+        for target in successors:
+            if parents.setdefault(target, entry) is entry:  # first reached
+                queue.append(target)
 
-    return TraceSet(states=frozenset(parents), successors=succ_map, truncated=truncated)
-
-
-def _replica_steps(system: EquationSystem, traces: TraceSet):
-    """Walk (state, entry) pairs over the closure, yielding each step.
-
-    A pair's entry is the block-start state whose replica the state runs
-    in: a state at a block start is its own entry, and any other state
-    inherits its predecessor's. Two entries can reach one state when two
-    contexts merge inside a block, so each entry walks its own chain, which
-    only moves to the next pc and never meets itself. Yields (source,
-    source entry, target, target entry) once per transition of a pair,
-    after (None, None, start, start); an entry's steps inside its block
-    come together, in pc order.
-    """
-    block_starts = {block.start_pc for block in system.blocks}
-    successors = traces.successors
-    start = initial_concrete_state()
-    yield None, None, start, start
-    entries = [start]
-    seen = {start}
-    for entry in entries:  # grows as the walk finds block starts
-        chain = [entry]
-        for state in chain:  # grows along the block
-            for target in successors[state]:
-                if target.pc not in block_starts:
-                    yield state, entry, target, entry
-                    chain.append(target)
-                    continue
-                yield state, entry, target, target
-                if target not in seen:
-                    seen.add(target)
-                    entries.append(target)
+    return TraceSet(runs, False)
 
 
 def _stack_covered(concrete: StackState, abstract: StackState) -> bool:
@@ -323,48 +316,69 @@ def _stack_covered(concrete: StackState, abstract: StackState) -> bool:
 
 
 def _coverage(traces: TraceSet) -> Coverage:
-    transitions = sum(map(len, traces.successors.values()))
-    return Coverage(len(traces.states), transitions, traces.truncated)
+    """(entry, pc) steps and their transitions; a cut run's last has none."""
+    states = transitions = 0
+    for run, crossings in traces.runs.values():
+        states += len(run)
+        transitions += len(run) - 1 + len(crossings or ())
+    return Coverage(states, transitions, traces.truncated)
+
+
+def _covered(stack: StackState, members: frozenset[StackState]) -> bool:
+    return stack in members or any(_stack_covered(stack, m) for m in members)
+
+
+def _uncovered(
+    source: ConcreteState | None, state: ConcreteState, entry: ConcreteState
+) -> Violation:
+    where = (
+        f"initial state {state.render()}" if source is None
+        else f"after pc 0x{source.pc:x}, state {state.stack.render()}"
+        f" at pc 0x{state.pc:x}"
+    )
+    return Violation(
+        kind="uncovered_state",
+        pc=0 if source is None else source.pc,
+        detail=(
+            f"{where} is not covered by entry context {entry.stack.render()} of"
+            f" block 0x{entry.pc:x}"
+        ),
+    )
 
 
 def check_jumps_to(
     program: Program, system: EquationSystem, traces: TraceSet
 ) -> Verdict:
-    """Every reached state must be covered by the member of its replica."""
+    """Every reached state must be covered by its run's member at its pc."""
     coverage = _coverage(traces)
     if traces.truncated:
         return Verdict("inconclusive", (), coverage)
 
+    lengths = {block.start_pc: len(block.body) for block in system.blocks}
     violations: list[Violation] = []
-    for source, source_entry, state, entry in _replica_steps(system, traces):
-        if state is entry:
-            # A block-start state is its own entry, so its stack must be an
-            # entry context there, whose member covers it.
-            members = system.state_at(state.pc).get(entry.stack, frozenset())
-        else:
-            if source is source_entry:  # first step inside: walk the block
-                along = system.members_along(entry.pc, entry.stack)
-                next(along)
-            members = next(along)
-        if state.stack in members or any(
-            _stack_covered(state.stack, m) for m in members
-        ):
-            continue
-        where = (
-            f"initial state {state.render()}" if source is None
-            else f"after pc 0x{source.pc:x}, state {state.stack.render()}"
-            f" at pc 0x{state.pc:x}"
-        )
-        violations.append(
-            Violation(
-                kind="uncovered_state",
-                pc=0 if source is None else source.pc,
-                detail=(
-                    f"{where} is not covered by entry context"
-                    f" {entry.stack.render()} of block 0x{entry.pc:x}"
-                ),
+    start = initial_concrete_state()
+    if not _covered(start.stack, system.state_at(0).get(start.stack, frozenset())):
+        violations.append(_uncovered(None, start, start))
+    for entry, (states, crossings) in traces.runs.items():
+        if lengths.get(entry.pc) != len(states):
+            detail = (
+                f"the run from {entry.render()} passes {len(states)} instructions,"
+                f" but the system's block there holds {lengths.get(entry.pc, 'none')}"
             )
-        )
+            violations.append(
+                Violation(kind="block_mismatch", pc=entry.pc, detail=detail)
+            )
+        elif len(states) > 1:
+            along = system.members_along(entry.pc, entry.stack)
+            next(along)  # the entry: its own context, checked where it was found
+            for source, state, members in zip(states, states[1:], along):
+                if not _covered(state.stack, members):
+                    violations.append(_uncovered(source, state, entry))
+        # A block-start stack is its own entry context, whose member covers it.
+        for target in crossings:
+            members = system.state_at(target.pc).get(target.stack, frozenset())
+            if not _covered(target.stack, members):
+                violations.append(_uncovered(states[-1], target, target))
     status = "pass" if not violations else "fail"
     return Verdict(status, tuple(violations), coverage)
 
@@ -372,39 +386,30 @@ def check_jumps_to(
 def check_walk(
     program: Program, cfg: Cfg, system: EquationSystem, traces: TraceSet
 ) -> Verdict:
-    """Every transition into a block must follow an edge between replicas."""
+    """Every crossing must follow an edge between replicas."""
     coverage = _coverage(traces)
     if traces.truncated:
         return Verdict("inconclusive", (), coverage)
 
-    replicas = {
-        ConcreteState(r.block_start, context): r for r, context in cfg.vertices.items()
-    }
+    replicas = {(r.block_start, context): r for r, context in cfg.vertices.items()}
     edges = cfg.jump_edges | cfg.next_edges
     violations: list[Violation] = []
-    for source, source_entry, target, entry in _replica_steps(system, traces):
-        if target is not entry:
-            continue  # inside a block
-        here = replicas.get(entry)
-        if source is None:
-            if here == cfg.entry:
-                continue
-            detail = f"initial state {target.render()} is not the entry vertex"
-        else:
-            there = replicas.get(source_entry)
-            if (there, here) in edges:
+    start = initial_concrete_state()
+    if replicas.get(start) != cfg.entry:
+        detail = f"initial state {start.render()} is not the entry vertex"
+        violations.append(Violation(kind="missing_edge", pc=0, detail=detail))
+    for entry, (states, crossings) in traces.runs.items():
+        there, source = replicas.get(entry), states[-1]
+        for target in crossings:
+            if (there, replicas.get(target)) in edges:
                 continue
             detail = (
                 f"transition 0x{source.pc:x} -> 0x{target.pc:x} follows no edge"
-                f" from replica {source_entry.render()} to {target.render()}"
+                f" from replica {entry.render()} to {target.render()}"
             )
-        violations.append(
-            Violation(
-                kind="missing_edge",
-                pc=0 if source is None else source.pc,
-                detail=detail,
+            violations.append(
+                Violation(kind="missing_edge", pc=source.pc, detail=detail)
             )
-        )
     status = "pass" if not violations else "fail"
     return Verdict(status, tuple(violations), coverage)
 

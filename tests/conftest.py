@@ -87,6 +87,26 @@ def fuzz_inputs(seed: int, count: int) -> list[str]:
     return list(FUZZ_FIXED[:count]) + drawn
 
 
+@st.composite
+def front_end_bytes(draw) -> bytes:
+    """0-64 bytes biased to JUMPDEST, JUMP, JUMPI and PUSH1 of an in-range
+    pc, often ending in a PUSH whose immediate runs past the end."""
+    length = draw(st.integers(0, 64))
+    piece = st.one_of(
+        st.sampled_from([b"\x5b", b"\x56", b"\x57"]),
+        st.integers(0, max(length - 1, 0)).map(lambda pc: bytes((0x60, pc))),
+        st.binary(min_size=1, max_size=1),
+    )
+    tail = st.one_of(
+        st.just(b""),
+        st.integers(1, 32).flatmap(
+            lambda k: st.binary(max_size=k - 1).map(lambda imm: bytes((0x5F + k,)) + imm)
+        ),
+    )
+    end = draw(tail)
+    return b"".join(draw(st.lists(piece, max_size=length)))[: max(length - len(end), 0)] + end
+
+
 def generated_hex(seed: int) -> str:
     """The program of generator seed seed under random_shape, as hex; the
     corpus workload's input i for run seed s is generated_hex(s * 10**6 + i)."""

@@ -20,7 +20,14 @@ from evmcfg.bytecode import (
 )
 from evmcfg.errors import DecodeError
 
-from conftest import BRANCH_HEX, LINEAR_HEX, SHARED_HEX, fuzz_inputs, generated_hex
+from conftest import (
+    BRANCH_HEX,
+    LINEAR_HEX,
+    SHARED_HEX,
+    front_end_bytes,
+    fuzz_inputs,
+    generated_hex,
+)
 
 
 def blocks_of(hex_text):
@@ -282,26 +289,6 @@ def assert_front_end_matches_reference(hex_text: str) -> None:
     assert [tuple(b) for b in blocks] == [tuple(b) for b in expected_blocks]
     assert all(type(b) is Block for b in blocks)
     assert unreached == expected_unreached
-
-
-@st.composite
-def front_end_bytes(draw) -> bytes:
-    """0-64 bytes biased to JUMPDEST, JUMP, JUMPI and PUSH1 of an in-range
-    pc, often ending in a PUSH whose immediate runs past the end."""
-    length = draw(st.integers(0, 64))
-    piece = st.one_of(
-        st.sampled_from([b"\x5b", b"\x56", b"\x57"]),
-        st.integers(0, max(length - 1, 0)).map(lambda pc: bytes((0x60, pc))),
-        st.binary(min_size=1, max_size=1),
-    )
-    tail = st.one_of(
-        st.just(b""),
-        st.integers(1, 32).flatmap(
-            lambda k: st.binary(max_size=k - 1).map(lambda imm: bytes((0x5F + k,)) + imm)
-        ),
-    )
-    end = draw(tail)
-    return b"".join(draw(st.lists(piece, max_size=length)))[: max(length - len(end), 0)] + end
 
 
 @settings(max_examples=300)

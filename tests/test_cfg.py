@@ -270,6 +270,30 @@ def test_json_rejects_other_versions(shared):
             id="vertices-not-a-list",
         ),
         pytest.param("not json", id="not-json"),
+        pytest.param(
+            '{"format_version": 1, "vertices": [], "edges": [{"kind": "jump",'
+            ' "from": {"block": 0, "id": 1}, "to": {"block": 9, "id": 7}}],'
+            ' "entry": {"block": 0, "id": 1}}',
+            id="dangling-edge-and-entry",
+        ),
+        pytest.param(
+            '{"format_version": 1, "vertices": [{"block": "zero", "id": 1,'
+            ' "entry": {"n": 0, "sigma": {}}}], "edges": [],'
+            ' "entry": {"block": "zero", "id": 1}}',
+            id="block-not-an-int",
+        ),
+        pytest.param(
+            '{"format_version": 1, "vertices": [{"block": 0, "id": 1,'
+            ' "entry": {"n": 0, "sigma": {}}}], "edges": [],'
+            ' "entry": {"block": 0, "id": 2}}',
+            id="dangling-entry",
+        ),
+        pytest.param(
+            '{"format_version": 1, "vertices": [{"block": 0, "id": true,'
+            ' "entry": {"n": 0, "sigma": {}}}], "edges": [],'
+            ' "entry": {"block": 0, "id": 1}}',
+            id="id-not-an-int",
+        ),
     ],
 )
 def test_json_rejects_malformed_documents(text):

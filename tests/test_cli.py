@@ -145,6 +145,7 @@ def test_decode_error_reported(capsys):
     payload = json.loads(err)
     assert payload["error"]["kind"] == "decode_error"
     assert payload["error"]["offset"] == 2
+    assert "pc" not in payload["error"]
 
 
 def test_unresolved_jump_reported(capsys):

@@ -348,6 +348,12 @@ def test_invalid_target_whitebox():
         contributions(program, jump, pi)
     assert exc.value.target == 0x01
     assert exc.value.pc == 0
+    assert exc.value.report() == {
+        "kind": "invalid_target",
+        "message": exc.value.message,
+        "pc": 0,
+        "target": 0x01,
+    }
 
 
 # Each loop turn enters the block at one stack height more.

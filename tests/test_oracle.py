@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import random
 from collections import deque
+from typing import NamedTuple
 
 import pytest
 from hypothesis import given, settings
@@ -41,13 +42,22 @@ from evmcfg.bytecode import JUMPI_BYTE
 from evmcfg.domain import MAX_STACK, StackState
 from evmcfg.oracle import (
     DEFAULT_MAX_STEPS,
+    Coverage,
     GeneratorShape,
-    _replica_steps,
+    Verdict,
+    Violation,
     _stack_covered,
     initial_concrete_state,
 )
 
-from conftest import LINEAR_HEX, kernel_stacks, ss, stack_states
+from conftest import (
+    LINEAR_HEX,
+    front_end_bytes,
+    fuzz_inputs,
+    kernel_stacks,
+    ss,
+    stack_states,
+)
 
 
 def cs(pc: int, n: int, tracked=None) -> ConcreteState:
@@ -84,6 +94,15 @@ def test_step_multi_destination_target():
 def test_step_runs_off_code_end():
     program = decode_bytecode("6000")
     assert step(program, cs(0, 0)) == ()
+
+
+def test_step_halts_on_an_underflowing_stack():
+    # The halt rule: a halt ends even on too short a stack, with no
+    # stack_arity_error, as block_exits lets it.
+    for code in ("f3", "fd"):  # RETURN and REVERT pop two
+        program = decode_bytecode(code)
+        assert step(program, cs(0, 0)) == ()
+        assert enumerate_states(program).states == {cs(0, 0)}
 
 
 def test_step_dup_swap_stay_concrete():
@@ -413,6 +432,7 @@ def test_dropped_context_is_caught(shared):
     assert violation.kind == "uncovered_state"
     assert violation.pc == 0x0A
     assert "0x10" in violation.detail
+    assert_matches_reference(shared.program, system, shared.cfg, shared.traces)
 
 
 def test_dropped_initial_context_is_caught(linear):
@@ -422,6 +442,7 @@ def test_dropped_initial_context_is_caught(linear):
     assert verdict.status == "fail"
     assert verdict.violations[0].kind == "uncovered_state"
     assert verdict.violations[0].pc == 0
+    assert_matches_reference(linear.program, system, linear.cfg, linear.traces)
 
 
 def test_narrowed_member_is_caught(shared):
@@ -435,6 +456,7 @@ def test_narrowed_member_is_caught(shared):
     assert verdict.status == "fail"
     kinds = {v.kind for v in verdict.violations}
     assert "uncovered_state" in kinds
+    assert_matches_reference(shared.program, system, shared.cfg, shared.traces)
 
 
 def _without_edge(cfg: Cfg, edge) -> Cfg:
@@ -451,6 +473,7 @@ def test_missing_edge_breaks_the_walk(shared):
     # at its source pc and the block it lands on.
     doctored = _without_edge(shared.cfg, (ReplicaId(0x05, 1), ReplicaId(0x10, 2)))
     verdict = check_walk(shared.program, doctored, shared.system, shared.traces)
+    assert_matches_reference(shared.program, shared.system, doctored, shared.traces)
     assert verdict.status == "fail"
     (violation,) = verdict.violations
     assert violation.kind == "missing_edge"
@@ -462,6 +485,7 @@ def test_missing_jump_target_detected(shared):
     # Claim the shared block's second replica never returns to its caller.
     doctored = _without_edge(shared.cfg, (ReplicaId(0x10, 2), ReplicaId(0x0B, 1)))
     verdict = check_walk(shared.program, doctored, shared.system, shared.traces)
+    assert_matches_reference(shared.program, shared.system, doctored, shared.traces)
     assert verdict.status == "fail"
     (violation,) = verdict.violations
     assert violation.kind == "missing_edge"
@@ -477,6 +501,7 @@ def test_entry_vertex_is_checked(shared):
         entry=ReplicaId(0x05, 1),
     )
     verdict = check_walk(shared.program, doctored, shared.system, shared.traces)
+    assert_matches_reference(shared.program, shared.system, doctored, shared.traces)
     assert verdict.status == "fail"
     (violation,) = verdict.violations
     assert (violation.kind, violation.pc) == ("missing_edge", 0)
@@ -491,13 +516,14 @@ def test_two_entries_reach_one_state():
     assert analysis.verdict == "pass"
     contexts = analysis.system.entry_contexts(0x10)
     assert contexts == (ss(1, {0: [0x0A]}), ss(1, {0: [0x10]}))
-    merged_state = cs(0x12, 0)
-    entries = {
-        entry.stack
-        for _, _, state, entry in _replica_steps(analysis.system, analysis.traces)
-        if state == merged_state
-    }
-    assert entries == set(contexts)
+    # Each context runs through the block on its own, and both runs pass
+    # the state at 0x12 with the empty stack, so coverage counts it twice.
+    runs = {e.stack: run for e, run in analysis.traces.runs.items() if e.pc == 0x10}
+    assert set(runs) == set(contexts)
+    for run in runs.values():
+        assert [state.stack for state in run.states[2:]] == [ss(0), ss(1), ss(0)]
+    assert analysis.jumps_to.coverage.states == len(analysis.traces.states) + 3
+    assert_matches_reference(program, analysis.system, analysis.cfg, analysis.traces)
     for context in contexts:
         mutated = solve(program)
         doctored = dict(mutated.state_at(0x13))
@@ -509,6 +535,254 @@ def test_two_entries_reach_one_state():
         assert violation.kind == "uncovered_state"
         assert violation.pc == 0x12
         assert f"entry context {context.render()}" in violation.detail
+        assert_matches_reference(program, mutated, analysis.cfg, analysis.traces)
+
+
+# --------------------------------------------- the state-level reference
+# enumerate_states, _replica_steps and both checkers as they were before the
+# closure ran blocks: a breadth-first closure that keeps every state with its
+# successors, and a walk of (state, entry) pairs over it that both checkers
+# repeat. They are the reference for the runs' verdicts. Coverage here counts
+# the walk's (state, entry) pairs and their steps, which is what the runs
+# count; it equals the distinct states and transitions unless two entries
+# merge inside a block.
+
+
+class StateClosure(NamedTuple):
+    states: frozenset
+    successors: dict
+    truncated: bool
+
+
+def ref_enumerate_states(program, max_steps=DEFAULT_MAX_STEPS) -> StateClosure:
+    start = initial_concrete_state()
+    parents = {start: None}
+    stacks = {start.stack: start.stack}
+    queue = deque([start])
+    succ_map = {}
+    truncated = False
+    steps = 0
+    while queue:
+        current = queue.popleft()
+        try:
+            successors = step(program, current, stacks)
+        except AnalysisError as err:
+            chain = [current]
+            while parents[chain[-1]] is not None:
+                chain.append(parents[chain[-1]])
+            err.partial_trace = tuple(reversed(chain))
+            raise
+        steps += len(successors)
+        if steps > max_steps:
+            truncated = True
+            break
+        succ_map[current] = successors
+        for nxt in successors:
+            if parents.setdefault(nxt, current) is current:
+                queue.append(nxt)
+    return StateClosure(frozenset(parents), succ_map, truncated)
+
+
+def ref_replica_steps(system, closure):
+    """(source, source entry, target, target entry) per step of a pair,
+    after (None, None, start, start)."""
+    block_starts = {block.start_pc for block in system.blocks}
+    start = initial_concrete_state()
+    yield None, None, start, start
+    entries = [start]
+    seen = {start}
+    for entry in entries:
+        chain = [entry]
+        for state in chain:
+            for target in closure.successors[state]:
+                if target.pc not in block_starts:
+                    yield state, entry, target, entry
+                    chain.append(target)
+                    continue
+                yield state, entry, target, target
+                if target not in seen:
+                    seen.add(target)
+                    entries.append(target)
+
+
+def ref_coverage(system, closure):
+    if closure.truncated:
+        transitions = sum(map(len, closure.successors.values()))
+        return Coverage(len(closure.states), transitions, True)
+    pairs = [(state, entry) for _, _, state, entry in ref_replica_steps(system, closure)]
+    return Coverage(len(set(pairs)), len(pairs) - 1, False)
+
+
+def ref_check_jumps_to(program, system, closure):
+    coverage = ref_coverage(system, closure)
+    if closure.truncated:
+        return Verdict("inconclusive", (), coverage)
+    violations = []
+    for source, source_entry, state, entry in ref_replica_steps(system, closure):
+        if state is entry:
+            members = system.state_at(state.pc).get(entry.stack, frozenset())
+        else:
+            if source is source_entry:
+                along = system.members_along(entry.pc, entry.stack)
+                next(along)
+            members = next(along)
+        if state.stack in members or any(
+            _stack_covered(state.stack, m) for m in members
+        ):
+            continue
+        where = (
+            f"initial state {state.render()}" if source is None
+            else f"after pc 0x{source.pc:x}, state {state.stack.render()}"
+            f" at pc 0x{state.pc:x}"
+        )
+        violations.append(
+            Violation(
+                "uncovered_state",
+                0 if source is None else source.pc,
+                f"{where} is not covered by entry context"
+                f" {entry.stack.render()} of block 0x{entry.pc:x}",
+            )
+        )
+    return Verdict("fail" if violations else "pass", tuple(violations), coverage)
+
+
+def ref_check_walk(program, cfg, system, closure):
+    coverage = ref_coverage(system, closure)
+    if closure.truncated:
+        return Verdict("inconclusive", (), coverage)
+    replicas = {
+        ConcreteState(r.block_start, context): r for r, context in cfg.vertices.items()
+    }
+    edges = cfg.jump_edges | cfg.next_edges
+    violations = []
+    for source, source_entry, target, entry in ref_replica_steps(system, closure):
+        if target is not entry:
+            continue
+        here = replicas.get(entry)
+        if source is None:
+            if here == cfg.entry:
+                continue
+            detail = f"initial state {target.render()} is not the entry vertex"
+        else:
+            if (replicas.get(source_entry), here) in edges:
+                continue
+            detail = (
+                f"transition 0x{source.pc:x} -> 0x{target.pc:x} follows no edge"
+                f" from replica {source_entry.render()} to {target.render()}"
+            )
+        violations.append(
+            Violation("missing_edge", 0 if source is None else source.pc, detail)
+        )
+    return Verdict("fail" if violations else "pass", tuple(violations), coverage)
+
+
+def assert_matches_reference(program, system, cfg, traces):
+    """Both checkers give the reference's Verdicts: status, violations in
+    order, and coverage."""
+    closure = ref_enumerate_states(program)
+    assert check_jumps_to(program, system, traces) == ref_check_jumps_to(
+        program, system, closure
+    )
+    assert check_walk(program, cfg, system, traces) == ref_check_walk(
+        program, cfg, system, closure
+    )
+
+
+def test_runs_match_the_state_closure(linear, branch, shared, two_height):
+    analyses = [linear, branch, shared, two_height]
+    rng = random.Random(0x5C)
+    for seed in (rng.getrandbits(32) for _ in range(200)):
+        analyses.append(analyze(generate_program(seed, random_shape(random.Random(seed)))))
+    for analysis in analyses:
+        program, traces = analysis.program, analysis.traces
+        assert_matches_reference(program, analysis.system, analysis.cfg, traces)
+        closure = ref_enumerate_states(program)
+        assert traces.states == closure.states
+        assert traces.successors == closure.successors
+        # No two entries merge here, so the (entry, pc) steps are the states.
+        assert analysis.jumps_to.coverage == Coverage(
+            len(closure.states), sum(map(len, closure.successors.values())), False
+        )
+
+
+def closure_outcome(enumerate_fn, program):
+    try:
+        return enumerate_fn(program), None
+    except AnalysisError as err:
+        return None, err
+
+
+@settings(max_examples=300, deadline=None)
+@given(front_end_bytes())
+def test_runs_match_the_state_closure_on_random_bytes(code):
+    program = decode_bytecode(code.hex())
+    if not program.instructions:
+        return
+    closure, ref_err = closure_outcome(ref_enumerate_states, program)
+    traces, err = closure_outcome(enumerate_states, program)
+    assert (err is None) == (ref_err is None)
+    if err is None:
+        assert traces.truncated == closure.truncated
+        assert traces.states == closure.states
+        assert traces.successors == closure.successors
+    else:
+        # The runs may reach another failing state first. Theirs replays
+        # under step from the start and fails there as reported.
+        trace = err.partial_trace
+        assert trace[0] == initial_concrete_state()
+        for state, following in zip(trace, trace[1:]):
+            assert following in step(program, state)
+        assert step_outcome(step, program, trace[-1]) == (type(err), err.pc, err.message)
+    try:
+        system = solve(program)
+    except AnalysisError:
+        return
+    if err is not None:
+        assert (err.kind, err.pc) == (ref_err.kind, ref_err.pc)
+        return
+    assert_matches_reference(program, system, build_cfg(system), traces)
+
+
+def test_closure_is_exactly_the_replica_graph():
+    # Precision: each entry is a vertex, at its block start with its stack,
+    # each crossing an edge, and nothing else is in the graph.
+    rng = random.Random(0x8E)
+    programs = [
+        generate_program(seed, random_shape(random.Random(seed)))
+        for seed in (rng.getrandbits(32) for _ in range(200))
+    ]
+    checked = 0
+    for program in programs + [decode_bytecode(h) for h in fuzz_inputs(1, 5007)]:
+        try:
+            system = solve(program)
+        except AnalysisError:
+            continue
+        cfg = build_cfg(system)
+        ids = {ConcreteState(r.block_start, s): r for r, s in cfg.vertices.items()}
+        runs = enumerate_states(program).runs
+        assert runs.keys() == ids.keys()
+        crossings = {(ids[e], ids[t]) for e, run in runs.items() for t in run.crossings}
+        assert crossings == cfg.jump_edges | cfg.next_edges
+        checked += 1
+    assert checked == 200 + 2225
+
+
+def test_block_mismatch_is_a_violation(linear):
+    # The oracle finds block boundaries itself. A system whose block is
+    # shorter or longer than a run, or missing, fails without raising.
+    program, traces = linear.program, linear.traces
+    first, second = linear.system.blocks
+    for blocks in (
+        (first, second._replace(body=second.body[:1], end_pc=second.start_pc)),
+        (first._replace(body=first.body + second.body[:1]), second),
+        (first,),
+    ):
+        system = solve(program)
+        system.blocks = blocks
+        verdict = check_jumps_to(program, system, traces)
+        assert verdict.status == "fail"
+        assert "block_mismatch" in {v.kind for v in verdict.violations}
+        assert check_walk(program, linear.cfg, system, traces).passed
 
 
 # ------------------------------------------------ the trace-walk reference
@@ -702,6 +976,7 @@ def test_mutations_fail_under_both_checkers(linear, branch, shared, two_height):
             verdict = check_jumps_to(program, mutated, traces)
             assert verdict.status == "fail"
             assert {v.kind for v in verdict.violations} == {"uncovered_state"}
+            assert_matches_reference(program, mutated, analysis.cfg, traces)
 
         cfg = analysis.cfg
         edges = sorted(cfg.jump_edges | cfg.next_edges)
@@ -712,6 +987,7 @@ def test_mutations_fail_under_both_checkers(linear, branch, shared, two_height):
             verdict = check_walk(program, cut, analysis.system, traces)
             assert verdict.status == "fail"
             assert [v.kind for v in verdict.violations] == ["missing_edge"]
+            assert_matches_reference(program, analysis.system, cut, traces)
 
 
 # ------------------------------------------------ stepper vs. static effect
