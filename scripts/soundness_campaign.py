@@ -15,14 +15,18 @@ import time
 from collections import Counter
 
 from evmcfg import analyze, generate_program, random_shape
+from evmcfg.cli import positive_int
 
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--count", type=int, default=1000, help="number of programs")
+    parser.add_argument(
+        "--count", type=positive_int, default=1000, help="number of programs"
+    )
     parser.add_argument("--start-seed", type=int, default=0)
     parser.add_argument(
-        "--max-blocks", type=int, default=30, help="upper bound on blocks per program"
+        "--max-blocks", type=positive_int, default=30,
+        help="upper bound on blocks per program (at least 1)",
     )
     parser.add_argument(
         "--progress-every", type=int, default=200, metavar="N",

@@ -10,15 +10,15 @@ them so). That makes ids independent of solver visit order.
 build_cfg numbers the contexts once: Cfg.vertices maps each replica id to
 the entry context it stands for, and both exports read contexts from it.
 The inverse map, (block, context) to id, lives only in build_cfg, which
-wires the edges with it. It visits only the blocks the solver entered, so
-it derives no state of a dead block.
+wires the edges with it. It reads only the states stored at block starts,
+so it derives no state.
 
 Jump edges connect a block ending in JUMP or JUMPI to the replicas of the
 destinations tracked on top of the stack. Next edges cover the fall-through
-of a JUMPI and falling into a JUMPDEST-led block. Both come from
-equations.block_exits, the rule the solver's constraints are built from,
-called once per (entry context, member) at each entered block's last
-instruction.
+of a JUMPI and falling into a JUMPDEST-led block. build_cfg reads both from
+EquationSystem.moves: the solver kept equations.block_exits, the rule its
+constraints are built from, for every replica it moved, and build_cfg only
+maps each move to the ids of its two ends.
 
 export_json writes the canonical JSON document (format_version 1) directly
 as text for its fixed schema. The bytes equal those of
@@ -37,7 +37,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from .domain import StackState
-from .equations import EquationSystem, block_exits
+from .equations import EquationSystem
 
 
 class ReplicaId(NamedTuple):
@@ -61,10 +61,9 @@ class Cfg:
 
 
 def build_cfg(system: EquationSystem) -> Cfg:
-    """Number each block's entry contexts, then wire the edges."""
+    """Number each block's entry contexts, then wire the solver's moves."""
     # Both solvers store the state at every block start they enter. A block
-    # whose start holds none was never entered: it has no replicas and no
-    # edges, and none of its states need deriving.
+    # whose start holds none was never entered: it has no replicas.
     entered = [block for block in system.blocks if system.states.get(block.start_pc)]
     new = tuple.__new__
     vertices = {
@@ -75,13 +74,10 @@ def build_cfg(system: EquationSystem) -> Cfg:
     ids = {(r.block_start, s): r for r, s in vertices.items()}
 
     edges: dict[str, list[tuple[ReplicaId, ReplicaId]]] = {"jump": [], "next": []}
-    for block in entered:
-        for context, members in system.state_at(block.end_pc).items():
-            source = ids[block.start_pc, context]
-            for member in members:
-                exits = block_exits(system.program, block.last, context, member)
-                for kind, target, landed in exits:
-                    edges[kind].append((source, ids[target, landed]))
+    for start, context, exits in system.moves:
+        source = ids[start, context]
+        for kind, target, landed in exits:
+            edges[kind].append((source, ids[target, landed]))
 
     return Cfg(
         vertices=vertices,
@@ -210,8 +206,9 @@ def cfg_from_json(text: str) -> Cfg:
     """Rebuild the graph of an exported document, entry contexts included.
 
     Raises ValueError for text without the format_version 1 layout: among
-    others, a replica whose block or id is not an int, and an edge or entry
-    naming a replica that is not a vertex.
+    others, a replica whose block or id is not an int, a replica listed
+    twice among the vertices, an entry context StackState.make rejects, and
+    an edge or entry naming a replica that is not a vertex.
     """
 
     def replica(ref: dict) -> ReplicaId:
@@ -230,6 +227,8 @@ def cfg_from_json(text: str) -> Cfg:
             )
             for v in doc["vertices"]
         }
+        if len(vertices) != len(doc["vertices"]):
+            raise ValueError("a replica is listed twice among the vertices")
         edges = {"jump": set(), "next": set()}
         for e in doc["edges"]:
             if e["kind"] not in edges:

@@ -63,11 +63,16 @@ class StackState(_Stack):
 
     @staticmethod
     def make(n: int, tracked: Mapping[int, Iterable[int]] | None = None) -> "StackState":
-        items = []
-        for pos in sorted(tracked or {}):
-            dests = tuple(sorted(set(tracked[pos])))
-            if dests:
-                items.append((pos, dests))
+        """Height n tracking tracked[pos] at each pos. ValueError for a bool or
+        non-int height, position or destination, or a negative destination."""
+        tracked = {pos: list(dests) for pos, dests in (tracked or {}).items()}
+        dests = [d for ds in tracked.values() for d in ds]
+        for value in (n, *tracked, *dests):
+            if type(value) is not int:
+                raise ValueError(f"{value!r} is not an int")
+        if min(dests, default=0) < 0:
+            raise ValueError(f"negative destination {min(dests)}")
+        items = sorted((p, tuple(sorted(set(ds)))) for p, ds in tracked.items() if ds)
         return StackState(n, tuple(items))
 
     def tracked(self) -> dict[int, tuple[int, ...]]:

@@ -20,7 +20,8 @@ contribute to their successors as follows:
 
 The moves into a new block (the first three rules) are block_exits, which
 takes one member under one entry context. contributions loops it over the
-contexts of a state, and build_cfg turns its moves into the graph's edges.
+contexts of a state. Both solvers keep each replica's block_exits in
+EquationSystem.moves, which build_cfg turns into the graph's edges.
 
 Two layers sit here: transfer, contributions, join, leq, the naive solver,
 verify_fixpoint and state_at work per pc on whole AbstractStates, as the
@@ -33,20 +34,19 @@ pc of its block. The worklist solver therefore moves entry contexts
 between block starts, one pop per (block, context) pair. Each popped
 context is stepped once through its block body but the last instruction,
 by update_stack, and its member at the last instruction goes straight to
-block_exits. An arity error names its pc and the entry context, as one
-raised through transfer does.
+block_exits, whose result is kept as the pop's move. An arity error names
+its pc and the entry context, as one raised through transfer does.
 
 The worklist solver stores states only at block starts and last
 instructions. EquationSystem.state_at derives a block's interior states on
-first request, by transfer from the block start, and keeps them;
-members_along derives one context's members the same way and keeps
-nothing. The naive solver fills every pc: each round sweeps every
-per-instruction constraint in pc order, joining each contribution into its
-target at once (Gauss-Seidel), and it stops after a round that changes
-nothing. Its per-pc sweep shares none of the worklist's block-level
-stepping, which keeps it an independent reference. verify_fixpoint
-likewise re-evaluates every per-instruction constraint over state_at, so it
-checks every derived interior state.
+first request, by transfer from the block start, and keeps them. The naive
+solver fills every pc: each round sweeps every per-instruction constraint
+in pc order, joining each contribution into its target at once
+(Gauss-Seidel), and it stops after a round that changes nothing; then it
+takes its moves from block_exits at each block's last pc. Its sweep shares
+none of the worklist's stepping, which keeps it an independent reference.
+verify_fixpoint likewise re-evaluates every per-instruction constraint over
+state_at, so it checks every derived interior state.
 
 Both solvers stop an input whose entry contexts grow without bound. A block
 may be entered at no more than MAX_ENTRY_HEIGHTS distinct stack heights and
@@ -62,7 +62,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, field
 from types import MappingProxyType
-from typing import Callable, Iterator, Mapping, NamedTuple
+from typing import Callable, Mapping, NamedTuple
 
 from .blocks import Block, partition_blocks
 from .bytecode import Instruction, JUMPI_BYTE, Program
@@ -97,6 +97,8 @@ MAX_ENTRY_HEIGHTS = 64
 # Entry contexts a block may be entered with: the scaled programs of
 # generator seeds 1 and 3 reach 100 and 220, solved fuzz inputs 2.
 MAX_ENTRY_CONTEXTS = 512
+# (block start, entry context, block_exits of its member at the last pc)
+Move = tuple[int, StackState, list[tuple[str, int, StackState]]]
 
 
 class ConstraintVar(NamedTuple):
@@ -125,6 +127,7 @@ class EquationSystem:
     states holds the computed states: every pc under the naive solver,
     block starts and last instructions under the worklist solver. state_at
     derives the rest by transfer from their block start, and adds them.
+    moves holds a Move for every replica the solver entered.
     """
 
     program: Program
@@ -132,6 +135,7 @@ class EquationSystem:
     unreached: frozenset[int]
     states: dict[int, AbstractState]
     solve_stats: SolveStats
+    moves: list[Move]
     # pc -> its block (None for an unreached pc), built on first derivation.
     _block_at: dict[int, Block | None] | None = field(
         default=None, repr=False, compare=False
@@ -142,20 +146,14 @@ class EquationSystem:
         state = self.states.get(pc)
         return self._derive(pc) if state is None else state
 
-    def _block_of(self, pc: int) -> Block | None:
-        """pc's block, None for an unreached pc; KeyError for no instruction."""
-        if self._block_at is None:
-            self._block_at = dict.fromkeys(self.unreached)
-            for block in self.blocks:
-                for ins in block.body:
-                    self._block_at[ins.pc] = block
-        if pc not in self._block_at:
-            raise KeyError(f"no instruction at pc 0x{pc:x}")
-        return self._block_at[pc]
-
     def _derive(self, pc: int) -> AbstractState:
         """Fill in the states of pc's block from its entry states."""
-        block = self._block_of(pc)
+        if self._block_at is None:
+            self._block_at = dict.fromkeys(self.unreached)
+            self._block_at.update((i.pc, b) for b in self.blocks for i in b.body)
+        if pc not in self._block_at:
+            raise KeyError(f"no instruction at pc 0x{pc:x}")
+        block = self._block_at[pc]
         if block is None:
             return self.states.setdefault(pc, bottom())
         state = self.states.setdefault(block.start_pc, bottom())
@@ -168,37 +166,12 @@ class EquationSystem:
         self.states.setdefault(block.end_pc, bottom())
         return self.states[pc]
 
-    def members_along(
-        self, start_pc: int, key: StackState
-    ) -> Iterator[frozenset[StackState]]:
-        """state_at(pc).get(key, frozenset()) at each pc of the block that
-        starts at start_pc, in order, keeping none of the states it derives;
-        check_jumps_to zips it with each concrete run from that entry."""
-        block, states = self._block_of(start_pc), self.states
-        jumpdests = self.program.jumpdests
-        for prev, ins in zip((None,) + block.body, block.body):
-            stored = states.get(ins.pc)
-            if stored is not None or prev is None:
-                members = (stored or {}).get(key, frozenset())
-            else:
-                try:
-                    members = frozenset(
-                        [update_stack(prev, m, jumpdests) for m in members]
-                    )
-                except StackArityError as err:
-                    raise with_entry_context(err, key) from None
-            yield members
-
     @property
     def vars(self) -> Mapping[int, ConstraintVar]:
         """Read-only view of state_at at every instruction pc; the
         benchmark in bench/ still reads it, the library uses state_at."""
-        return MappingProxyType(
-            {
-                ins.pc: ConstraintVar(ins.pc, self.state_at(ins.pc))
-                for ins in self.program.instructions
-            }
-        )
+        pcs = [ins.pc for ins in self.program.instructions]
+        return MappingProxyType({p: ConstraintVar(p, self.state_at(p)) for p in pcs})
 
     def entry_contexts(self, pc: int) -> tuple[StackState, ...]:
         """Entry contexts reaching pc, in canonical order."""
@@ -291,22 +264,18 @@ def _check_entry_budget(
     """Check the new entry context key against the budgets of the block at
     pc, entered with held at the heights in heights (kept up to date); raise
     BudgetExceededError past either budget."""
-    if key.n not in heights:
-        if len(heights) == MAX_ENTRY_HEIGHTS:
-            raise BudgetExceededError(
-                f"block at pc 0x{pc:x} is already entered at"
-                f" {MAX_ENTRY_HEIGHTS} stack heights; entry context"
-                f" {key.render()} would add another",
-                pc=pc,
-            )
+    if key.n not in heights and len(heights) == MAX_ENTRY_HEIGHTS:
+        full = f"at {MAX_ENTRY_HEIGHTS} stack heights"
+    elif len(held) == MAX_ENTRY_CONTEXTS:
+        full = f"with {MAX_ENTRY_CONTEXTS} entry contexts"
+    else:
         heights.add(key.n)
-    if len(held) == MAX_ENTRY_CONTEXTS:
-        raise BudgetExceededError(
-            f"block at pc 0x{pc:x} is already entered with"
-            f" {MAX_ENTRY_CONTEXTS} entry contexts; entry context"
-            f" {key.render()} would add another",
-            pc=pc,
-        )
+        return
+    raise BudgetExceededError(
+        f"block at pc 0x{pc:x} is already entered {full}; entry context"
+        f" {key.render()} would add another",
+        pc=pc,
+    )
 
 
 def _solve_worklist(
@@ -315,26 +284,29 @@ def _solve_worklist(
     states: dict[int, AbstractState],
     heights: dict[int, set[int]],
     stats: SolveStats,
+    moves: list[Move],
     record: bool,
     trace: Callable[[str], None] | None,
 ) -> None:
     jumpdests = program.jumpdests
-    by_start = {block.start_pc: block for block in blocks}
+    by_start = {b.start_pc: (b.body[:-1], b.body[-1], b.end_pc) for b in blocks}
     # (block start, entry context) pairs not yet moved through their block.
     pending = deque((0, key) for key in states[0])
     while pending:
         start, key = pending.popleft()
         stats.pops += 1
-        block = by_start[start]
+        interior, last, end_pc = by_start[start]
         end = key
         try:
-            for ins in block.body[:-1]:
+            for ins in interior:
                 end = update_stack(ins, end, jumpdests)
         except StackArityError as err:
             raise with_entry_context(err, key) from None
-        if len(block.body) > 1:
-            states.setdefault(block.end_pc, {})[key] = frozenset((end,))
-        for _kind, target, landed in block_exits(program, block.last, key, end):
+        if interior:
+            states.setdefault(end_pc, {})[key] = frozenset((end,))
+        exits = block_exits(program, last, key, end)
+        moves.append((start, key, exits))
+        for _kind, target, landed in exits:
             held = states.setdefault(target, {})
             if landed in held:
                 continue
@@ -413,13 +385,21 @@ def solve(
     heights[0].add(0)
     if mode == "worklist":
         states = {0: initial_state()}
-        _solve_worklist(program, blocks, states, heights, stats, record, trace)
+        moves: list[Move] = []
+        _solve_worklist(program, blocks, states, heights, stats, moves, record, trace)
     else:
         states = {ins.pc: bottom() for ins in program.instructions}
         states[0] = initial_state()
         if record:
             stats.snapshots.append(dict(states))
         _solve_naive(program, states, heights, stats, record, trace)
+        # Moves out of each block's last-pc members; an unentered block has none.
+        moves = [
+            (block.start_pc, key, block_exits(program, block.last, key, member))
+            for block in blocks
+            for key, members in states[block.end_pc].items()
+            for member in members
+        ]
 
     return EquationSystem(
         program=program,
@@ -427,6 +407,7 @@ def solve(
         unreached=unreached,
         states=states,
         solve_stats=stats,
+        moves=moves,
     )
 
 

@@ -13,9 +13,9 @@ one replica, its entry's block and stack; two entries can reach one state
 (a JUMPDEST POP entered with two different targets), each in its own run.
 
   * check_jumps_to: the initial stack and each crossing's target must be an
-    entry context at its block start, and each run, zipped with
-    EquationSystem.members_along, must be covered by its context's member
-    at every pc. A run and its block in the system must be equally long.
+    entry context at its block start, and each run, walked beside its equally
+    long block, must be covered by its context's member at every pc: the
+    stored one, else update_stack of the member before.
   * check_walk: each crossing must follow a graph edge from its run's
     replica to its target's, and the initial state must be the entry
     vertex. The paper's soundness claim is exactly this: every execution is
@@ -28,7 +28,8 @@ is a pushed JUMPDEST, so the whole pipeline can be exercised end to end.
 
 The stepper here deliberately re-implements the stack effects instead of
 reusing the transfer module: the two sides of the differential test must
-not share their computation.
+not share their computation; only check_jumps_to, on the abstract side,
+calls update_stack.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ import itertools
 import random
 from collections import deque
 from dataclasses import dataclass
-from typing import Mapping, NamedTuple
+from typing import Collection, Mapping, NamedTuple
 
 from .bytecode import OPCODES, JUMPI_BYTE, Program, decode_bytecode
 from .cfg import Cfg
@@ -49,6 +50,7 @@ from .errors import (
     StackArityError,
     StuckStateError,
 )
+from .transfer import update_stack, with_entry_context
 
 DEFAULT_MAX_STEPS = 100_000
 
@@ -324,7 +326,7 @@ def _coverage(traces: TraceSet) -> Coverage:
     return Coverage(states, transitions, traces.truncated)
 
 
-def _covered(stack: StackState, members: frozenset[StackState]) -> bool:
+def _covered(stack: StackState, members: Collection[StackState]) -> bool:
     return stack in members or any(_stack_covered(stack, m) for m in members)
 
 
@@ -354,26 +356,36 @@ def check_jumps_to(
     if traces.truncated:
         return Verdict("inconclusive", (), coverage)
 
-    lengths = {block.start_pc: len(block.body) for block in system.blocks}
+    bodies = {block.start_pc: block.body for block in system.blocks}
+    stored, jumpdests = system.states, program.jumpdests
     violations: list[Violation] = []
     start = initial_concrete_state()
     if not _covered(start.stack, system.state_at(0).get(start.stack, frozenset())):
         violations.append(_uncovered(None, start, start))
     for entry, (states, crossings) in traces.runs.items():
-        if lengths.get(entry.pc) != len(states):
+        body = bodies.get(entry.pc, ())  # a block is never empty
+        if len(body) != len(states):
             detail = (
                 f"the run from {entry.render()} passes {len(states)} instructions,"
-                f" but the system's block there holds {lengths.get(entry.pc, 'none')}"
+                f" but the system's block there holds {len(body) or 'none'}"
             )
             violations.append(
                 Violation(kind="block_mismatch", pc=entry.pc, detail=detail)
             )
         elif len(states) > 1:
-            along = system.members_along(entry.pc, entry.stack)
-            next(along)  # the entry: its own context, checked where it was found
-            for source, state, members in zip(states, states[1:], along):
-                if not _covered(state.stack, members):
-                    violations.append(_uncovered(source, state, entry))
+            key = entry.stack  # its own context, checked where it was found
+            members = (stored.get(entry.pc) or {}).get(key, ())
+            try:
+                for prev, ins, source, state in zip(body, body[1:], states, states[1:]):
+                    here = stored.get(ins.pc)
+                    if here is not None:
+                        members = here.get(key, ())
+                    else:
+                        members = [update_stack(prev, m, jumpdests) for m in members]
+                    if not _covered(state.stack, members):
+                        violations.append(_uncovered(source, state, entry))
+            except StackArityError as err:
+                raise with_entry_context(err, key) from None
         # A block-start stack is its own entry context, whose member covers it.
         for target in crossings:
             members = system.state_at(target.pc).get(target.stack, frozenset())
@@ -445,7 +457,9 @@ class GeneratorShape:
 
 
 def random_shape(rng: random.Random, max_blocks: int = 30) -> GeneratorShape:
-    """Sample a shape whose block estimate stays inside max_blocks."""
+    """Sample a shape whose block estimate stays inside max_blocks (>= 1)."""
+    if max_blocks < 1:
+        raise ValueError(f"max_blocks must be at least 1, got {max_blocks}")
     while True:
         shape = GeneratorShape(
             max_call_depth=rng.choice((1, 1, 2)),

@@ -47,6 +47,8 @@ def update_stack(
             pc=instr.pc,
         )
 
+    if not (spec.delta or spec.alpha):  # JUMPDEST: the stack is unchanged
+        return state
     sigma = state.sigma
     if spec.is_push:
         value = instr.push_value()
@@ -81,9 +83,7 @@ def update_stack(
 
 def with_entry_context(err: StackArityError, key: StackState) -> StackArityError:
     """err, raised under entry context key, with that context named."""
-    return StackArityError(
-        f"{err.message} (entry context {key.render()})", pc=err.pc
-    )
+    return StackArityError(f"{err.message} (entry context {key.render()})", pc=err.pc)
 
 
 def transfer(

@@ -21,7 +21,7 @@ from evmcfg import (
 )
 from evmcfg.blocks import Terminator
 from evmcfg.equations import EquationSystem
-from evmcfg.errors import AnalysisError, UnresolvedJumpError
+from evmcfg.errors import AnalysisError
 
 from conftest import (
     BRANCH_HEX,
@@ -171,13 +171,6 @@ def test_exports_read_contexts_from_the_graph(shared, two_height, monkeypatch):
     assert got == expected
 
 
-def test_build_cfg_reports_lost_target():
-    system = solve(decode_bytecode("6003565b00"))
-    system.states[0x02] = {ss(0): frozenset({ss(1)})}
-    with pytest.raises(UnresolvedJumpError):
-        build_cfg(system)
-
-
 def test_replica_names():
     assert rid(0x10, 2).name() == "B_0x10_2"
     assert rid(0x05, 1).name() == "B_0x05_1"
@@ -293,6 +286,37 @@ def test_json_rejects_other_versions(shared):
             ' "entry": {"n": 0, "sigma": {}}}], "edges": [],'
             ' "entry": {"block": 0, "id": 1}}',
             id="id-not-an-int",
+        ),
+        pytest.param(
+            '{"format_version": 1, "vertices": [{"block": 0, "id": 1,'
+            ' "entry": {"n": 2.5, "sigma": {}}}], "edges": [],'
+            ' "entry": {"block": 0, "id": 1}}',
+            id="height-not-an-int",
+        ),
+        pytest.param(
+            '{"format_version": 1, "vertices": [{"block": 0, "id": 1,'
+            ' "entry": {"n": true, "sigma": {}}}], "edges": [],'
+            ' "entry": {"block": 0, "id": 1}}',
+            id="height-a-bool",
+        ),
+        pytest.param(
+            '{"format_version": 1, "vertices": [{"block": 0, "id": 1,'
+            ' "entry": {"n": 2, "sigma": {"1": [3.5]}}}], "edges": [],'
+            ' "entry": {"block": 0, "id": 1}}',
+            id="destination-not-an-int",
+        ),
+        pytest.param(
+            '{"format_version": 1, "vertices": [{"block": 0, "id": 1,'
+            ' "entry": {"n": 2, "sigma": {"1": [-3]}}}], "edges": [],'
+            ' "entry": {"block": 0, "id": 1}}',
+            id="negative-destination",
+        ),
+        pytest.param(
+            '{"format_version": 1, "vertices": [{"block": 0, "id": 1,'
+            ' "entry": {"n": 0, "sigma": {}}}, {"block": 0, "id": 1,'
+            ' "entry": {"n": 1, "sigma": {}}}], "edges": [],'
+            ' "entry": {"block": 0, "id": 1}}',
+            id="duplicate-replica",
         ),
     ],
 )

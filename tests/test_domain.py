@@ -40,6 +40,25 @@ def test_positions_must_fit_height():
         StackState(2, ((0, (5, 3)),))  # dests not sorted
 
 
+@pytest.mark.parametrize(
+    "n, tracked",
+    [
+        pytest.param(2.5, {}, id="float-height"),
+        pytest.param(True, {}, id="bool-height"),
+        pytest.param(3, {1.0: [3]}, id="float-position"),
+        pytest.param(3, {True: [3]}, id="bool-position"),
+        pytest.param(3, {1: [3.0]}, id="float-destination"),
+        pytest.param(3, {1: [3, False]}, id="bool-destination"),
+        pytest.param(3, {1: ["3"]}, id="str-destination"),
+        pytest.param(3, {1: [-3]}, id="negative-destination"),
+    ],
+)
+def test_make_rejects_values_that_are_not_ints(n, tracked):
+    # Such a stack could not even render: its destinations print as hex.
+    with pytest.raises(ValueError):
+        StackState.make(n, tracked)
+
+
 def test_boundary_heights_allowed():
     assert StackState.make(0).n == 0
     assert StackState.make(MAX_STACK).n == MAX_STACK

@@ -7,6 +7,7 @@ exactly, not approximately.
 
 from __future__ import annotations
 
+import random
 import sys
 import time
 
@@ -21,6 +22,7 @@ from evmcfg import (
     idmap,
     initial_state,
     leq,
+    random_shape,
     solve,
     verify_fixpoint,
 )
@@ -39,7 +41,7 @@ from evmcfg.errors import (
     UnresolvedJumpError,
 )
 
-from conftest import shift_register_hex, ss
+from conftest import fuzz_inputs, shift_register_hex, ss
 
 
 def full_solution(system):
@@ -128,44 +130,6 @@ def test_state_at(shared):
     assert shared.system.state_at(0x0D) == {}
     with pytest.raises(KeyError):
         shared.system.state_at(0x01)  # immediate byte, no variable
-
-
-def test_members_along_matches_state_at(shared, two_height):
-    # Walking each entry context through its block gives state_at's members
-    # pc by pc, and leaves states as it found them.
-    for pipeline in (shared, two_height):
-        system = solve(pipeline.program)
-        before = dict(system.states)
-        for block in system.blocks:
-            for key in system.states.get(block.start_pc, {}):
-                walked = list(system.members_along(block.start_pc, key))
-                assert system.states == before
-                assert walked == [
-                    pipeline.system.state_at(ins.pc).get(key, frozenset())
-                    for ins in block.body
-                ]
-
-
-def test_members_along_follows_stored_interior_states():
-    # A state stored at an interior pc takes precedence, and the members
-    # after it derive from it, exactly as state_at derives them.
-    program = generate_program(7, GeneratorShape())
-    reference = solve(program)
-    block = next(
-        b for b in reference.blocks
-        if len(b.body) >= 4 and reference.states.get(b.start_pc)
-    )
-    key = next(iter(reference.states[block.start_pc]))
-    mid = block.body[1].pc
-    doctored = {key: frozenset(ss(m.n + 1) for m in reference.state_at(mid)[key])}
-    walked_system, derived_system = solve(program), solve(program)
-    walked_system.states[mid] = dict(doctored)
-    derived_system.states[mid] = dict(doctored)
-    walked = list(walked_system.members_along(block.start_pc, key))
-    assert walked == [
-        derived_system.state_at(ins.pc).get(key, frozenset()) for ins in block.body
-    ]
-    assert walked[2] != reference.state_at(block.body[2].pc)[key]
 
 
 def test_block_entry_images_are_identity(shared, two_height, linear, branch):
@@ -532,6 +496,47 @@ def test_worklist_steps_each_instruction_once_per_block(monkeypatch):
         steps = len(b.body) - (1 if b.last.spec.halts else 0)
         expected += len(system.state_at(b.start_pc)) * steps
     assert calls == expected == 2121
+
+
+def _moves(system):
+    """The system's moves as (start, context, kind, target, landed) tuples,
+    and its moved (start, context) pairs, sorted."""
+    exits = {
+        (start, key, kind, target, landed)
+        for start, key, moved in system.moves
+        for kind, target, landed in moved
+    }
+    return exits, sorted((start, key) for start, key, _ in system.moves)
+
+
+def test_naive_moves_equal_worklist_moves():
+    # The naive solver derives its moves after converging, from its per-pc
+    # states; the worklist keeps the block_exits of each pop. Both move
+    # every replica once, along the same exits.
+    rng = random.Random(0x40E5)
+    programs = [
+        generate_program(seed, random_shape(random.Random(seed)))
+        for seed in (rng.getrandbits(32) for _ in range(200))
+    ]
+    checked = 0
+    for program in programs + [decode_bytecode(h) for h in fuzz_inputs(1, 5007)]:
+        try:
+            worklist = solve(program)
+        except AnalysisError:
+            continue
+        assert _moves(solve(program, mode="naive")) == _moves(worklist)
+        checked += 1
+    assert checked == 200 + 2225
+
+
+def test_solve_reports_lost_target():
+    # PUSH1 6 tracks the landing at 0x6, ADD consumes it, and the JUMP at
+    # 0x5 has nothing tracked to go to. build_cfg derives no exit, so the
+    # solver is where a lost target shows.
+    for mode in ("worklist", "naive"):
+        with pytest.raises(UnresolvedJumpError) as exc:
+            solve(decode_bytecode("6006600101565b00"), mode=mode)
+        assert exc.value.pc == 0x5
 
 
 def test_worklist_pops_counted(shared, two_height):

@@ -7,7 +7,9 @@ here, so only one side may delegate to the other.
 
 from __future__ import annotations
 
+import dataclasses
 import random
+import sys
 from collections import deque
 from typing import NamedTuple
 
@@ -51,7 +53,10 @@ from evmcfg.oracle import (
 )
 
 from conftest import (
+    BRANCH_HEX,
     LINEAR_HEX,
+    SHARED_HEX,
+    TWO_HEIGHT_HEX,
     front_end_bytes,
     fuzz_inputs,
     kernel_stacks,
@@ -419,6 +424,94 @@ def test_check_jumps_to_keeps_no_derived_state(shared, two_height):
         assert system.states == before
 
 
+def test_check_jumps_to_derives_members_as_state_at_does(shared, two_height):
+    # The checker steps each context's member through the block with
+    # update_stack; state_at derives the same members by transfer. Narrow
+    # the member at each block start, one at a time, so the derived members
+    # are wrong: the checker gives the same violations whether it derives
+    # them itself or finds every interior state stored.
+    for analysis in (shared, two_height):
+        program, traces = analysis.program, analysis.traces
+        mutations = 0
+        for block in analysis.system.blocks:
+            for key in analysis.system.states.get(block.start_pc, {}):
+                walked, stored = solve(program), solve(program)
+                for system in (walked, stored):
+                    doctored = dict(system.states[block.start_pc])
+                    doctored[key] = frozenset({ss(key.n)})
+                    system.states[block.start_pc] = doctored
+                stored.vars  # derives and keeps every interior state
+                before = dict(walked.states)
+                verdict = check_jumps_to(program, walked, traces)
+                assert walked.states == before
+                assert verdict == check_jumps_to(program, stored, traces)
+                mutations += verdict.status == "fail"
+        assert mutations >= 2
+
+
+def test_check_jumps_to_follows_stored_interior_states():
+    # A state stored at an interior pc takes precedence, and the members
+    # after it derive from it, up to the next stored state. The naive
+    # solver stores every pc, so only the doctored pc fails there; the
+    # worklist stores the block's last pc, so every pc before it fails.
+    program = generate_program(7, GeneratorShape())
+    traces = enumerate_states(program)
+    reference = solve(program)
+    block = next(
+        b for b in reference.blocks
+        if len(b.body) >= 4 and reference.states.get(b.start_pc)
+    )
+    key = next(iter(reference.states[block.start_pc]))
+    mid = block.body[1].pc
+    doctored = dict(reference.state_at(mid))
+    doctored[key] = frozenset(ss(m.n + 1) for m in doctored[key])
+    expected = {
+        "naive": [block.body[0].pc],
+        "worklist": [ins.pc for ins in block.body[:-2]],
+    }
+    for mode, pcs in expected.items():
+        system = solve(program, mode=mode)
+        system.states[mid] = dict(doctored)
+        verdict = check_jumps_to(program, system, traces)
+        assert verdict.status == "fail"
+        assert [v.pc for v in verdict.violations] == pcs
+        for violation in verdict.violations:
+            assert violation.kind == "uncovered_state"
+            assert f"entry context {key.render()}" in violation.detail
+        assert_matches_reference(program, system, build_cfg(reference), traces)
+
+
+def test_closure_keeps_its_own_stack_semantics(monkeypatch):
+    # The two sides of the differential check share no stack effect: with
+    # every binding of update_stack in the package made to raise, the
+    # closure and its stepper still run, and find the same states.
+    programs = [
+        decode_bytecode(h) for h in (LINEAR_HEX, BRANCH_HEX, SHARED_HEX, TWO_HEIGHT_HEX)
+    ]
+    rng = random.Random(0x1DE)
+    programs += [
+        generate_program(seed, random_shape(random.Random(seed)))
+        for seed in (rng.getrandbits(32) for _ in range(50))
+    ]
+    expected = [enumerate_states(program) for program in programs]
+
+    def refuse(*args):
+        raise AssertionError("the concrete side called update_stack")
+
+    patched = 0
+    for name, module in list(sys.modules.items()):
+        if name == "evmcfg" or name.startswith("evmcfg."):
+            for attr, value in list(vars(module).items()):
+                if value is update_stack:
+                    monkeypatch.setattr(module, attr, refuse)
+                    patched += 1
+    assert patched >= 4  # transfer, equations, oracle, and the package
+    start = initial_concrete_state()
+    for program, closure in zip(programs, expected):
+        assert enumerate_states(program) == closure
+        assert step(program, start) == closure.successors[start]
+
+
 def test_dropped_context_is_caught(shared):
     # Forget one caller's context at the shared block: the checker must
     # attribute the gap to the jump that produced the uncovered state.
@@ -618,14 +711,11 @@ def ref_check_jumps_to(program, system, closure):
     if closure.truncated:
         return Verdict("inconclusive", (), coverage)
     violations = []
-    for source, source_entry, state, entry in ref_replica_steps(system, closure):
-        if state is entry:
-            members = system.state_at(state.pc).get(entry.stack, frozenset())
-        else:
-            if source is source_entry:
-                along = system.members_along(entry.pc, entry.stack)
-                next(along)
-            members = next(along)
+    # state_at derives the interior states by transfer, on a copy, so the
+    # system keeps only the states it had.
+    derived = dataclasses.replace(system, states=dict(system.states))
+    for source, _source_entry, state, entry in ref_replica_steps(system, closure):
+        members = derived.state_at(state.pc).get(entry.stack, frozenset())
         if state.stack in members or any(
             _stack_covered(state.stack, m) for m in members
         ):
@@ -1037,6 +1127,15 @@ def test_random_shape_deterministic_and_bounded():
             + shape.callee_count * (shape.sites_per_callee + 2)
         )
         assert estimate <= 30
+
+
+def test_random_shape_rejects_max_blocks_below_one():
+    # The smallest estimate is 1, so a lower bound could never be met.
+    for max_blocks in (0, -1):
+        with pytest.raises(ValueError):
+            random_shape(random.Random(0), max_blocks=max_blocks)
+    shape = random_shape(random.Random(0), max_blocks=1)
+    assert shape.branch_count == shape.callee_count == 0
 
 
 def test_generate_program_deterministic():

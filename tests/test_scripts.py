@@ -6,6 +6,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 from conftest import IMPORT_ROOT
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
@@ -40,3 +42,20 @@ def test_soundness_campaign_script():
     proc = run_script("soundness_campaign.py", "--count", "20")
     assert proc.returncode == 0, proc.stderr
     assert "0 failures" in proc.stdout
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        pytest.param(("--count", "0"), id="no-programs"),
+        pytest.param(("--count", "-3"), id="negative-count"),
+        pytest.param(("--count", "3", "--max-blocks", "0"), id="no-blocks"),
+    ],
+)
+def test_soundness_campaign_rejects_values_below_one(args):
+    # A count of 0 once crashed in the summary line, and a block bound
+    # below the smallest shape estimate sampled shapes forever.
+    proc = run_script("soundness_campaign.py", *args)
+    assert proc.returncode == 2
+    assert "invalid positive int value" in proc.stderr
+    assert proc.stdout == ""
