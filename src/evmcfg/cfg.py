@@ -16,9 +16,10 @@ so it derives no state.
 Jump edges connect a block ending in JUMP or JUMPI to the replicas of the
 destinations tracked on top of the stack. Next edges cover the fall-through
 of a JUMPI and falling into a JUMPDEST-led block. build_cfg reads both from
-EquationSystem.moves: the solver kept equations.block_exits, the rule its
-constraints are built from, for every replica it moved, and build_cfg only
-maps each move to the ids of its two ends.
+EquationSystem.moves, a flat list with one tuple per move: the solver kept
+each result of equations.block_exits, the rule its constraints are built
+from, for every replica it moved, and build_cfg maps each tuple to an edge
+between the ids of its two ends, in a single loop.
 
 export_json writes the canonical JSON document (format_version 1) directly
 as text for its fixed schema. The bytes equal those of
@@ -74,10 +75,8 @@ def build_cfg(system: EquationSystem) -> Cfg:
     ids = {(r.block_start, s): r for r, s in vertices.items()}
 
     edges: dict[str, list[tuple[ReplicaId, ReplicaId]]] = {"jump": [], "next": []}
-    for start, context, exits in system.moves:
-        source = ids[start, context]
-        for kind, target, landed in exits:
-            edges[kind].append((source, ids[target, landed]))
+    for start, context, kind, target, landed in system.moves:
+        edges[kind].append((ids[start, context], ids[target, landed]))
 
     return Cfg(
         vertices=vertices,

@@ -8,8 +8,10 @@ absent from the map hold values the analysis does not track.
 A StackState is a validated tuple (n, sigma): its constructor rejects a
 malformed one, and hashing, equality and ordering are the tuple's own. Its
 natural order is the canonical one: height first, then the tracked map.
-The constructor checks, in one pass and without sorting, that positions
-strictly increase and each destination set is a tuple that strictly increases.
+The constructor checks, in one pass and without sorting, that the height,
+positions and destinations are ints and not bools, that positions strictly
+increase, and that each destination set is a tuple of non-negative ints that
+strictly increases.
 Only transfer.update_stack skips it; its steps keep a stack canonical.
 
 An AbstractState is a partial map from entry StackStates (the stack shapes a
@@ -40,20 +42,29 @@ class StackState(_Stack):
     __slots__ = ()
 
     def __new__(cls, n: int, sigma: tuple[tuple[int, tuple[int, ...]], ...] = ()):
+        if type(n) is not int:
+            raise ValueError(f"stack height {n!r} is not an int")
         if not 0 <= n <= MAX_STACK:
             raise ValueError(f"stack height {n} out of range")
         last = -1
         for pos, dests in sigma:
+            if type(pos) is not int:
+                raise ValueError(f"tracked position {pos!r} is not an int")
             if not 0 <= pos < n:
                 raise ValueError(f"tracked position {pos} outside stack of height {n}")
             if pos <= last:
                 raise ValueError("tracked positions must be strictly increasing")
             if not dests:
                 raise ValueError(f"empty destination set at position {pos}")
-            if not isinstance(dests, tuple) or (
-                len(dests) > 1 and not all(map(lt, dests, dests[1:]))
-            ):
+            if not isinstance(dests, tuple):
                 raise ValueError(f"destination set at position {pos} not canonical")
+            for d in dests:
+                if type(d) is not int:
+                    raise ValueError(f"destination {d!r} at position {pos} is not an int")
+            if len(dests) > 1 and not all(map(lt, dests, dests[1:])):
+                raise ValueError(f"destination set at position {pos} not canonical")
+            if dests[0] < 0:
+                raise ValueError(f"negative destination {dests[0]} at position {pos}")
             last = pos
         return tuple.__new__(cls, (n, sigma))
 

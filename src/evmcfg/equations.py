@@ -20,8 +20,8 @@ contribute to their successors as follows:
 
 The moves into a new block (the first three rules) are block_exits, which
 takes one member under one entry context. contributions loops it over the
-contexts of a state. Both solvers keep each replica's block_exits in
-EquationSystem.moves, which build_cfg turns into the graph's edges.
+contexts of a state. Both solvers keep every move in EquationSystem.moves,
+a flat list of Move tuples, which build_cfg turns into the graph's edges.
 
 Two layers sit here: transfer, contributions, join, leq, the naive solver,
 verify_fixpoint and state_at work per pc on whole AbstractStates, as the
@@ -34,19 +34,19 @@ pc of its block. The worklist solver therefore moves entry contexts
 between block starts, one pop per (block, context) pair. Each popped
 context is stepped once through its block body but the last instruction,
 by update_stack, and its member at the last instruction goes straight to
-block_exits, whose result is kept as the pop's move. An arity error names
-its pc and the entry context, as one raised through transfer does.
+block_exits, each of whose results is kept as one Move. An arity error
+names its pc and the entry context, as one raised through transfer does.
 
-The worklist solver stores states only at block starts and last
-instructions. EquationSystem.state_at derives a block's interior states on
-first request, by transfer from the block start, and keeps them. The naive
-solver fills every pc: each round sweeps every per-instruction constraint
-in pc order, joining each contribution into its target at once
-(Gauss-Seidel), and it stops after a round that changes nothing; then it
-takes its moves from block_exits at each block's last pc. Its sweep shares
-none of the worklist's stepping, which keeps it an independent reference.
+The worklist solver stores states only at block starts.
+EquationSystem.state_at derives every later pc of a block on first
+request, by transfer from the block start, and keeps it. The naive solver
+fills every pc: each round sweeps every per-instruction constraint in pc
+order, joining each contribution into its target at once (Gauss-Seidel),
+and it stops after a round that changes nothing; then it takes its moves
+from block_exits at each block's last pc. Its sweep shares none of the
+worklist's stepping, which keeps it an independent reference.
 verify_fixpoint likewise re-evaluates every per-instruction constraint over
-state_at, so it checks every derived interior state.
+state_at, so it checks every derived state.
 
 Both solvers stop an input whose entry contexts grow without bound. A block
 may be entered at no more than MAX_ENTRY_HEIGHTS distinct stack heights and
@@ -97,8 +97,11 @@ MAX_ENTRY_HEIGHTS = 64
 # Entry contexts a block may be entered with: the scaled programs of
 # generator seeds 1 and 3 reach 100 and 220, solved fuzz inputs 2.
 MAX_ENTRY_CONTEXTS = 512
-# (block start, entry context, block_exits of its member at the last pc)
-Move = tuple[int, StackState, list[tuple[str, int, StackState]]]
+# One move of a replica into a new block: (block start, entry context,
+# kind, target pc, landed state), one block_exits result of the context's
+# member at the last pc. A replica whose block halts or runs off the end
+# of the code has none.
+Move = tuple[int, StackState, str, int, StackState]
 
 
 class ConstraintVar(NamedTuple):
@@ -125,9 +128,9 @@ class EquationSystem:
     """Solved (or solving) constraint system for one program.
 
     states holds the computed states: every pc under the naive solver,
-    block starts and last instructions under the worklist solver. state_at
-    derives the rest by transfer from their block start, and adds them.
-    moves holds a Move for every replica the solver entered.
+    block starts only under the worklist solver. state_at derives the rest
+    by transfer from their block start, and adds them. moves holds a Move
+    for every move of every replica the solver entered, in no set order.
     """
 
     program: Program
@@ -157,13 +160,12 @@ class EquationSystem:
         if block is None:
             return self.states.setdefault(pc, bottom())
         state = self.states.setdefault(block.start_pc, bottom())
-        # Each interior state is its predecessor's, transferred; a block the
+        # Each later state is its predecessor's, transferred; a block the
         # solver never entered stays at bottom throughout.
-        for prev, ins in zip(block.body, block.body[1:-1]):
+        for prev, ins in zip(block.body, block.body[1:]):
             state = self.states.setdefault(
                 ins.pc, transfer(prev, state, self.program.jumpdests)
             )
-        self.states.setdefault(block.end_pc, bottom())
         return self.states[pc]
 
     @property
@@ -289,24 +291,21 @@ def _solve_worklist(
     trace: Callable[[str], None] | None,
 ) -> None:
     jumpdests = program.jumpdests
-    by_start = {b.start_pc: (b.body[:-1], b.body[-1], b.end_pc) for b in blocks}
+    by_start = {b.start_pc: (b.body[:-1], b.body[-1]) for b in blocks}
     # (block start, entry context) pairs not yet moved through their block.
     pending = deque((0, key) for key in states[0])
     while pending:
         start, key = pending.popleft()
         stats.pops += 1
-        interior, last, end_pc = by_start[start]
+        interior, last = by_start[start]
         end = key
         try:
             for ins in interior:
                 end = update_stack(ins, end, jumpdests)
         except StackArityError as err:
             raise with_entry_context(err, key) from None
-        if interior:
-            states.setdefault(end_pc, {})[key] = frozenset((end,))
-        exits = block_exits(program, last, key, end)
-        moves.append((start, key, exits))
-        for _kind, target, landed in exits:
+        for kind, target, landed in block_exits(program, last, key, end):
+            moves.append((start, key, kind, target, landed))
             held = states.setdefault(target, {})
             if landed in held:
                 continue
@@ -395,10 +394,11 @@ def solve(
         _solve_naive(program, states, heights, stats, record, trace)
         # Moves out of each block's last-pc members; an unentered block has none.
         moves = [
-            (block.start_pc, key, block_exits(program, block.last, key, member))
+            (block.start_pc, key, kind, target, landed)
             for block in blocks
             for key, members in states[block.end_pc].items()
             for member in members
+            for kind, target, landed in block_exits(program, block.last, key, member)
         ]
 
     return EquationSystem(

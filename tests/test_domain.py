@@ -40,23 +40,36 @@ def test_positions_must_fit_height():
         StackState(2, ((0, (5, 3)),))  # dests not sorted
 
 
+NOT_INTS = [
+    pytest.param(2.5, {}, id="float-height"),
+    pytest.param(True, {}, id="bool-height"),
+    pytest.param(3, {1.0: [3]}, id="float-position"),
+    pytest.param(3, {True: [3]}, id="bool-position"),
+    pytest.param(3, {1: [3.0]}, id="float-destination"),
+    pytest.param(3, {1: [3, False]}, id="bool-destination"),
+    pytest.param(3, {1: ["3"]}, id="str-destination"),
+    pytest.param(3, {1: [-3]}, id="negative-destination"),
+]
+
+
+def construct(n, tracked) -> StackState:
+    """The raw constructor, given what make is given."""
+    return StackState(n, tuple((pos, tuple(dests)) for pos, dests in tracked.items()))
+
+
 @pytest.mark.parametrize(
-    "n, tracked",
-    [
-        pytest.param(2.5, {}, id="float-height"),
-        pytest.param(True, {}, id="bool-height"),
-        pytest.param(3, {1.0: [3]}, id="float-position"),
-        pytest.param(3, {True: [3]}, id="bool-position"),
-        pytest.param(3, {1: [3.0]}, id="float-destination"),
-        pytest.param(3, {1: [3, False]}, id="bool-destination"),
-        pytest.param(3, {1: ["3"]}, id="str-destination"),
-        pytest.param(3, {1: [-3]}, id="negative-destination"),
+    "build, n, tracked",
+    [pytest.param(StackState.make, *case.values, id=case.id) for case in NOT_INTS]
+    + [
+        pytest.param(construct, *case.values, id=f"constructor-{case.id}")
+        for case in NOT_INTS
     ],
 )
-def test_make_rejects_values_that_are_not_ints(n, tracked):
+def test_make_rejects_values_that_are_not_ints(build, n, tracked):
     # Such a stack could not even render: its destinations print as hex.
+    # make and the raw constructor reject it alike.
     with pytest.raises(ValueError):
-        StackState.make(n, tracked)
+        build(n, tracked)
 
 
 def test_boundary_heights_allowed():

@@ -7,6 +7,7 @@ exactly, not approximately.
 
 from __future__ import annotations
 
+import gc
 import random
 import sys
 import time
@@ -498,21 +499,42 @@ def test_worklist_steps_each_instruction_once_per_block(monkeypatch):
     assert calls == expected == 2121
 
 
-def _moves(system):
-    """The system's moves as (start, context, kind, target, landed) tuples,
-    and its moved (start, context) pairs, sorted."""
-    exits = {
-        (start, key, kind, target, landed)
-        for start, key, moved in system.moves
-        for kind, target, landed in moved
-    }
-    return exits, sorted((start, key) for start, key, _ in system.moves)
+def _tracked_reachable(*roots) -> int:
+    """gc-tracked objects reachable from roots, roots excluded. Classes,
+    which every instance refers to, are not entered."""
+    seen = {id(root) for root in roots}
+    todo = list(roots)
+    while todo:
+        for ref in gc.get_referents(todo.pop()):
+            if gc.is_tracked(ref) and not isinstance(ref, type) and id(ref) not in seen:
+                seen.add(id(ref))
+                todo.append(ref)
+    return len(seen) - len(roots)
+
+
+def test_worklist_stores_little_per_replica():
+    # The cyclic collector walks what the solver keeps on each full pass,
+    # so the worklist stores states at block starts only and one flat
+    # tuple per move. Storing last-pc states too, and each replica's exits
+    # in a tuple and a list, kept 8.3-9.3 tracked objects per replica on
+    # this program under Python 3.10 to 3.13; block starts and flat moves
+    # keep 3.8-4.2.
+    shape = GeneratorShape(branch_count=50, callee_count=10, sites_per_callee=5)
+    program = generate_program(1, shape)
+    system = solve(program)
+    naive = solve(program, mode="naive")
+    entered = {b.start_pc for b in naive.blocks if naive.states[b.start_pc]}
+    assert system.states.keys() == entered
+    replicas = sum(len(system.states[pc]) for pc in entered)
+    assert replicas == 301
+    gc.collect()
+    assert _tracked_reachable(system.states, system.moves) < 6 * replicas
 
 
 def test_naive_moves_equal_worklist_moves():
     # The naive solver derives its moves after converging, from its per-pc
-    # states; the worklist keeps the block_exits of each pop. Both move
-    # every replica once, along the same exits.
+    # states; the worklist keeps the block_exits of each pop. Both make the
+    # same moves, each as often, and the worklist moves every replica once.
     rng = random.Random(0x40E5)
     programs = [
         generate_program(seed, random_shape(random.Random(seed)))
@@ -524,7 +546,10 @@ def test_naive_moves_equal_worklist_moves():
             worklist = solve(program)
         except AnalysisError:
             continue
-        assert _moves(solve(program, mode="naive")) == _moves(worklist)
+        naive = solve(program, mode="naive")
+        assert sorted(naive.moves) == sorted(worklist.moves)
+        replicas = sum(len(naive.states[b.start_pc]) for b in naive.blocks)
+        assert worklist.solve_stats.pops == replicas
         checked += 1
     assert checked == 200 + 2225
 

@@ -453,7 +453,8 @@ def test_check_jumps_to_follows_stored_interior_states():
     # A state stored at an interior pc takes precedence, and the members
     # after it derive from it, up to the next stored state. The naive
     # solver stores every pc, so only the doctored pc fails there; the
-    # worklist stores the block's last pc, so every pc before it fails.
+    # worklist stores only block starts, so every pc from it to the
+    # block's end fails.
     program = generate_program(7, GeneratorShape())
     traces = enumerate_states(program)
     reference = solve(program)
@@ -467,7 +468,7 @@ def test_check_jumps_to_follows_stored_interior_states():
     doctored[key] = frozenset(ss(m.n + 1) for m in doctored[key])
     expected = {
         "naive": [block.body[0].pc],
-        "worklist": [ins.pc for ins in block.body[:-2]],
+        "worklist": [ins.pc for ins in block.body[:-1]],
     }
     for mode, pcs in expected.items():
         system = solve(program, mode=mode)
@@ -514,17 +515,21 @@ def test_closure_keeps_its_own_stack_semantics(monkeypatch):
 
 def test_dropped_context_is_caught(shared):
     # Forget one caller's context at the shared block: the checker must
-    # attribute the gap to the jump that produced the uncovered state.
+    # attribute the gap to the jump that produced the uncovered state. The
+    # block's last pc, derived from its start, lacks the context too, so
+    # the step into it fails as well.
     system = solve(shared.program)
     doctored = dict(system.state_at(0x10))
     del doctored[ss(1, {0: [0x0B]})]
     system.states[0x10] = doctored
     verdict = check_jumps_to(shared.program, system, shared.traces)
     assert verdict.status == "fail"
-    (violation,) = verdict.violations
-    assert violation.kind == "uncovered_state"
-    assert violation.pc == 0x0A
-    assert "0x10" in violation.detail
+    crossing, step = verdict.violations
+    assert crossing.kind == step.kind == "uncovered_state"
+    assert crossing.pc == 0x0A
+    assert "0x10" in crossing.detail
+    assert step.pc == 0x10
+    assert "at pc 0x11" in step.detail
     assert_matches_reference(shared.program, system, shared.cfg, shared.traces)
 
 

@@ -59,3 +59,13 @@ def test_soundness_campaign_rejects_values_below_one(args):
     assert proc.returncode == 2
     assert "invalid positive int value" in proc.stderr
     assert proc.stdout == ""
+
+
+def test_gc_census_script():
+    proc = run_script(
+        "gc_census.py", "--branches", "10", "--callees", "5", "--sites", "3",
+        "--repeat", "2",
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "tracked objects kept by states and moves:" in proc.stdout
+    assert "generation 2:" in proc.stdout
