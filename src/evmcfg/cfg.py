@@ -205,9 +205,11 @@ def cfg_from_json(text: str) -> Cfg:
     """Rebuild the graph of an exported document, entry contexts included.
 
     Raises ValueError for text without the format_version 1 layout: among
-    others, a replica whose block or id is not an int, a replica listed
-    twice among the vertices, an entry context StackState.make rejects, and
-    an edge or entry naming a replica that is not a vertex.
+    others, a format_version that is not the int 1, a replica whose block or
+    id is not an int, a replica listed twice among the vertices, a sigma key
+    that is not the decimal spelling of its position, an entry context
+    StackState.make rejects, and an edge or entry naming a replica that is
+    not a vertex.
     """
 
     def replica(ref: dict) -> ReplicaId:
@@ -215,14 +217,21 @@ def cfg_from_json(text: str) -> Cfg:
             raise ValueError(f"replica block and id must be ints: {ref!r}")
         return ReplicaId(ref["block"], ref["id"])
 
+    def position(key: str) -> int:
+        pos = int(key)
+        if str(pos) != key:  # "00", "1_0", " 1" and "+1" all read as ints
+            raise ValueError(f"sigma key {key!r} is not a decimal position")
+        return pos
+
     doc = json.loads(text)
     try:
-        if doc.get("format_version") != 1:
-            raise ValueError("unsupported format_version")
+        version = doc.get("format_version")
+        if type(version) is not int or version != 1:
+            raise ValueError(f"unsupported format_version {version!r}")
         vertices = {
             replica(v): StackState.make(
                 v["entry"]["n"],
-                {int(pos): dests for pos, dests in v["entry"]["sigma"].items()},
+                {position(pos): dests for pos, dests in v["entry"]["sigma"].items()},
             )
             for v in doc["vertices"]
         }

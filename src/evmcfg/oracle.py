@@ -8,14 +8,19 @@ any single run. enumerate_states closes it breadth-first, loops included,
 over entry states: the initial state and the target of each crossing, a
 step from a jump or onto a JUMPDEST, told by step's result and not read
 from the system's blocks. Each entry runs straight through its block, and
-the closure keeps the run's states and its crossings. A run stands for
-one replica, its entry's block and stack; two entries can reach one state
-(a JUMPDEST POP entered with two different targets), each in its own run.
+the closure keeps the run's states and its crossings. Each interior
+instruction, one falling through to an instruction other than a JUMPDEST,
+takes only its stack effect, which step shares; the run's last goes
+through step, whose successors are the crossings. A run stands for one
+replica, its entry's block and stack; two entries can reach one state (a
+JUMPDEST POP entered with two different targets), each in its own run.
 
   * check_jumps_to: the initial stack and each crossing's target must be an
     entry context at its block start, and each run, walked beside its equally
     long block, must be covered by its context's member at every pc: the
-    stored one, else update_stack of the member before.
+    stored one, else update_stack of the member before. Both solvers give
+    each context one member at every pc, which is stepped and compared
+    alone; a stored state whose context holds several is walked as a set.
   * check_walk: each crossing must follow a graph edge from its run's
     replica to its target's, and the initial state must be the entry
     vertex. The paper's soundness claim is exactly this: every execution is
@@ -40,7 +45,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Collection, Mapping, NamedTuple
 
-from .bytecode import OPCODES, JUMPI_BYTE, Program, decode_bytecode
+from .bytecode import OPCODES, JUMPI_BYTE, Instruction, Program, decode_bytecode
 from .cfg import Cfg
 from .domain import MAX_STACK, StackState
 from .equations import EquationSystem
@@ -163,14 +168,6 @@ def _first_at_or_above(sigma: tuple, pos: int) -> int:
     return i
 
 
-def _shared(stacks: dict[StackState, StackState], n: int, sigma: tuple) -> StackState:
-    """The stack (n, sigma) from stacks, looked up by its plain tuple."""
-    stack = stacks.get((n, sigma))
-    if stack is None:
-        stack = stacks[stack] = StackState(n, sigma)
-    return stack
-
-
 def step(
     program: Program, state: ConcreteState, stacks: dict | None = None
 ) -> tuple[ConcreteState, ...]:
@@ -196,6 +193,39 @@ def step(
             f" jump target (stack height {n})",
             pc=instr.pc,
         )
+    moved = _moved(instr, state.stack, program.jumpdests, stacks)
+    next_pc = instr.next_pc
+    falls = program.has_instruction(next_pc)
+
+    if spec.is_jump:  # pops its operands and pushes nothing
+        successors = set()
+        for dest in sigma[-1][1]:
+            if dest not in program.jumpdests:
+                raise InvalidJumpError(
+                    f"jump at pc 0x{instr.pc:x} lands on 0x{dest:x}, which"
+                    f" is not a JUMPDEST",
+                    pc=instr.pc,
+                )
+            successors.add(ConcreteState(dest, moved))
+        if spec.byte_value == JUMPI_BYTE and falls:
+            successors.add(ConcreteState(next_pc, moved))
+        return tuple(sorted(successors))
+    if not falls:
+        return ()
+    return (tuple.__new__(ConcreteState, (next_pc, moved)),)
+
+
+def _moved(
+    instr: Instruction, stack: StackState, jumpdests: frozenset[int], stacks: dict
+) -> StackState:
+    """stack after instr's stack effect, shared through stacks.
+
+    A PUSH of a JUMPDEST pc tracks it, DUP copies a tracked slot and SWAP
+    moves two; every other instruction, a jump too, only consumes. Raises
+    StackArityError on an underflow or an overflow.
+    """
+    spec = instr.spec
+    n, sigma = stack
     if n < spec.delta:
         raise StackArityError(
             f"{spec.mnemonic} at pc 0x{instr.pc:x} needs {spec.delta} stack"
@@ -208,29 +238,10 @@ def step(
             f"{spec.mnemonic} at pc 0x{instr.pc:x} overflows the stack",
             pc=instr.pc,
         )
-    next_pc = instr.next_pc
-    falls = program.has_instruction(next_pc)
-
-    if spec.is_jump:  # pops its operands and pushes nothing
-        landed = _shared(stacks, n_out, sigma[: _first_at_or_above(sigma, n_out)])
-        successors = set()
-        for dest in sigma[-1][1]:
-            if dest not in program.jumpdests:
-                raise InvalidJumpError(
-                    f"jump at pc 0x{instr.pc:x} lands on 0x{dest:x}, which"
-                    f" is not a JUMPDEST",
-                    pc=instr.pc,
-                )
-            successors.add(ConcreteState(dest, landed))
-        if spec.byte_value == JUMPI_BYTE and falls:
-            successors.add(ConcreteState(next_pc, landed))
-        return tuple(sorted(successors))
-    if not falls:
-        return ()
 
     if spec.is_push:
         value = instr.push_value()
-        if value in program.jumpdests:
+        if value in jumpdests:
             sigma += ((n, (value,)),)
     elif spec.is_dup:
         source = n - (spec.byte_value - 0x7F)
@@ -245,10 +256,17 @@ def step(
             sigma[:lo] + tuple((low, dests) for _, dests in sigma[hi:])
             + sigma[mid:hi] + tuple((top, dests) for _, dests in sigma[lo:mid])
         )
-    else:
+    elif spec.delta or spec.alpha:
         sigma = sigma[: _first_at_or_above(sigma, n - spec.delta)]
-
-    return (tuple.__new__(ConcreteState, (next_pc, _shared(stacks, n_out, sigma))),)
+    else:  # JUMPDEST: the stack is unchanged
+        return stack
+    # Looked up by its plain tuple, so each distinct stack is built once.
+    # The height is checked above and sigma stays sorted as built, so the
+    # stack skips StackState's check, as update_stack's result does.
+    shared = stacks.get((n_out, sigma))
+    if shared is None:
+        shared = stacks[shared] = tuple.__new__(StackState, (n_out, sigma))
+    return shared
 
 
 def initial_concrete_state() -> ConcreteState:
@@ -258,10 +276,11 @@ def initial_concrete_state() -> ConcreteState:
 def enumerate_states(program: Program, max_steps: int = DEFAULT_MAX_STEPS) -> TraceSet:
     """Breadth-first closure of the entries reachable from the start.
 
-    Runs each entry through its block. max_steps bounds the transitions,
-    counted step by step; truncated says that it cut the closure. A step
-    error propagates with a partial_trace attribute for diagnosis: the runs
-    of first-found entries from the start to the failing state.
+    Runs each entry through its block: the interior by its stack effect, the
+    last instruction by step. max_steps bounds the transitions, counted step
+    by step; truncated says that it cut the closure. A step error propagates
+    with a partial_trace attribute for diagnosis: the runs of first-found
+    entries from the start to the failing state.
     """
     if not program.instructions:
         raise AnalysisError("program has no instructions")
@@ -271,22 +290,28 @@ def enumerate_states(program: Program, max_steps: int = DEFAULT_MAX_STEPS) -> Tr
     stacks = {start.stack: start.stack}
     queue = deque([start])
     steps = 0
+    instruction_at, jumpdests = program._by_pc.get, program.jumpdests
 
     while queue:
         entry = state = queue.popleft()
         run = [state]
+        instr = instruction_at(state.pc)
         try:
-            # A jump has two successors, or one on a JUMPDEST; a halt has
-            # none. So only a single successor off a JUMPDEST stays inside.
             while True:
-                successors = step(program, state, stacks)
-                steps += len(successors)
-                if steps > max_steps or len(successors) != 1:
+                spec = instr.spec
+                pc = instr.pc + 1 + spec.immediate_len
+                following = instruction_at(pc)
+                if following is None or spec.halts or spec.is_jump or pc in jumpdests:
+                    successors = step(program, state, stacks)
+                    steps += len(successors)
                     break
-                (state,) = successors
-                if state.pc in program.jumpdests:
+                stack = _moved(instr, state.stack, jumpdests, stacks)
+                steps += 1
+                if steps > max_steps:
                     break
+                state = tuple.__new__(ConcreteState, (pc, stack))
                 run.append(state)
+                instr = following
         except AnalysisError as err:
             runs[entry] = Run(tuple(run), None)
             chain = []
@@ -375,14 +400,25 @@ def check_jumps_to(
         elif len(states) > 1:
             key = entry.stack  # its own context, checked where it was found
             members = (stored.get(entry.pc) or {}).get(key, ())
+            # The context's one member, stepped alone; None while it holds
+            # none or several, whose set is walked instead.
+            member = next(iter(members)) if len(members) == 1 else None
             try:
                 for prev, ins, source, state in zip(body, body[1:], states, states[1:]):
                     here = stored.get(ins.pc)
                     if here is not None:
                         members = here.get(key, ())
+                        member = next(iter(members)) if len(members) == 1 else None
+                    elif member is not None:
+                        member = update_stack(prev, member, jumpdests)
                     else:
                         members = [update_stack(prev, m, jumpdests) for m in members]
-                    if not _covered(state.stack, members):
+                    stack = state.stack
+                    if member is not None:
+                        covered = stack == member or _stack_covered(stack, member)
+                    else:
+                        covered = _covered(stack, members)
+                    if not covered:
                         violations.append(_uncovered(source, state, entry))
             except StackArityError as err:
                 raise with_entry_context(err, key) from None

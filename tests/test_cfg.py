@@ -318,6 +318,30 @@ def test_json_rejects_other_versions(shared):
             ' "entry": {"block": 0, "id": 1}}',
             id="duplicate-replica",
         ),
+        pytest.param(
+            '{"format_version": 1, "vertices": [{"block": 0, "id": 1,'
+            ' "entry": {"n": 2, "sigma": {"0": [5], "00": [11]}}}], "edges": [],'
+            ' "entry": {"block": 0, "id": 1}}',
+            id="sigma-key-with-a-leading-zero",
+        ),
+        pytest.param(
+            '{"format_version": 1, "vertices": [{"block": 0, "id": 1,'
+            ' "entry": {"n": 11, "sigma": {"1_0": [5]}}}], "edges": [],'
+            ' "entry": {"block": 0, "id": 1}}',
+            id="sigma-key-with-an-underscore",
+        ),
+        pytest.param(
+            '{"format_version": true, "vertices": [{"block": 0, "id": 1,'
+            ' "entry": {"n": 0, "sigma": {}}}], "edges": [],'
+            ' "entry": {"block": 0, "id": 1}}',
+            id="format-version-a-bool",
+        ),
+        pytest.param(
+            '{"format_version": 1.0, "vertices": [{"block": 0, "id": 1,'
+            ' "entry": {"n": 0, "sigma": {}}}], "edges": [],'
+            ' "entry": {"block": 0, "id": 1}}',
+            id="format-version-a-float",
+        ),
     ],
 )
 def test_json_rejects_malformed_documents(text):

@@ -370,6 +370,35 @@ def test_step_budget_counts_transitions(linear):
     assert not enumerate_states(decode_bytecode("00"), max_steps=1).truncated
 
 
+def test_step_budget_boundary_replays_under_step():
+    # The closure steps a run's interior without step and counts each
+    # transition as step would: at every budget up to one past the total,
+    # it truncates exactly below the total, every kept transition is step's
+    # single successor, and a finished run's crossings are step's result.
+    programs = [
+        decode_bytecode(h)
+        for h in (LINEAR_HEX, BRANCH_HEX, SHARED_HEX, TWO_HEIGHT_HEX, "5b600160005700")
+    ]
+    rng = random.Random(0xB0D)
+    programs += [
+        generate_program(seed, random_shape(random.Random(seed)))
+        for seed in (rng.getrandbits(32) for _ in range(20))
+    ]
+    for program in programs:
+        total = sum(
+            len(states) - 1 + len(crossings)
+            for states, crossings in enumerate_states(program).runs.values()
+        )
+        for max_steps in range(1, total + 2):
+            traces = enumerate_states(program, max_steps=max_steps)
+            assert traces.truncated == (max_steps < total)
+            for states, crossings in traces.runs.values():
+                for state, following in zip(states, states[1:]):
+                    assert step(program, state) == (following,)
+                if crossings is not None:
+                    assert step(program, states[-1]) == crossings
+
+
 def test_enumerate_stuck_carries_partial_trace():
     with pytest.raises(StuckStateError) as exc:
         enumerate_states(decode_bytecode("600056"))
@@ -480,6 +509,33 @@ def test_check_jumps_to_follows_stored_interior_states():
             assert violation.kind == "uncovered_state"
             assert f"entry context {key.render()}" in violation.detail
         assert_matches_reference(program, system, build_cfg(reference), traces)
+
+
+def test_check_jumps_to_walks_several_members():
+    # The worklist gives every context one member, which the checker steps
+    # alone; a doctored context holding several is walked as a set. Beside
+    # a decoy its true member still covers every run, and with the decoy
+    # alone the checker fails where the reference does.
+    programs = [decode_bytecode(h) for h in (SHARED_HEX, TWO_HEIGHT_HEX)]
+    programs.append(generate_program(7, GeneratorShape()))
+    doctored = 0
+    for program in programs:
+        traces = enumerate_states(program)
+        closure = ref_enumerate_states(program)
+        reference = solve(program)
+        for block in reference.blocks:
+            for key in reference.states.get(block.start_pc, {}):
+                decoy = ss(key.n + 1)
+                for members, status in (({key, decoy}, "pass"), ({decoy}, "fail")):
+                    system = solve(program)
+                    system.states[block.start_pc] = {
+                        **system.states[block.start_pc], key: frozenset(members)
+                    }
+                    verdict = check_jumps_to(program, system, traces)
+                    assert verdict.status == status
+                    assert verdict == ref_check_jumps_to(program, system, closure)
+                doctored += len(block.body) > 1
+    assert doctored >= 10
 
 
 def test_closure_keeps_its_own_stack_semantics(monkeypatch):
