@@ -33,9 +33,9 @@ straight-line code, so each entry context has exactly one member at every
 pc of its block. The worklist solver therefore moves entry contexts
 between block starts, one pop per (block, context) pair. Each popped
 context is stepped once through its block body but the last instruction,
-by update_stack, and its member at the last instruction goes straight to
-block_exits, each of whose results is kept as one Move. An arity error
-names its pc and the entry context, as one raised through transfer does.
+by one run_stack call (none for an empty interior); its member at the last
+instruction goes straight to block_exits, each of whose results is kept as
+one Move. An arity error names its pc and the entry context, as transfer's.
 
 The worklist solver stores states only at block starts.
 EquationSystem.state_at derives every later pc of a block on first
@@ -74,7 +74,7 @@ from .errors import (
     StackArityError,
     UnresolvedJumpError,
 )
-from .transfer import transfer, update_stack, with_entry_context
+from .transfer import run_stack, transfer, update_stack, with_entry_context
 
 __all__ = [
     "MAX_ENTRY_CONTEXTS",
@@ -298,10 +298,8 @@ def _solve_worklist(
         start, key = pending.popleft()
         stats.pops += 1
         interior, last = by_start[start]
-        end = key
         try:
-            for ins in interior:
-                end = update_stack(ins, end, jumpdests)
+            end = run_stack(interior, key, jumpdests)[1] if interior else key
         except StackArityError as err:
             raise with_entry_context(err, key) from None
         for kind, target, landed in block_exits(program, last, key, end):

@@ -21,6 +21,8 @@ JUMPDEST POP entered with two different targets), each in its own run.
     stored one, else update_stack of the member before. Both solvers give
     each context one member at every pc, which is stepped and compared
     alone; a stored state whose context holds several is walked as a set.
+    Where only block starts are stored, run_stack folds a lone member along
+    the run while the two are equal; the walk goes on from the first change.
   * check_walk: each crossing must follow a graph edge from its run's
     replica to its target's, and the initial state must be the entry
     vertex. The paper's soundness claim is exactly this: every execution is
@@ -34,7 +36,7 @@ is a pushed JUMPDEST, so the whole pipeline can be exercised end to end.
 The stepper here deliberately re-implements the stack effects instead of
 reusing the transfer module: the two sides of the differential test must
 not share their computation; only check_jumps_to, on the abstract side,
-calls update_stack.
+calls run_stack and update_stack.
 """
 
 from __future__ import annotations
@@ -43,6 +45,7 @@ import itertools
 import random
 from collections import deque
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Collection, Mapping, NamedTuple
 
 from .bytecode import OPCODES, JUMPI_BYTE, Instruction, Program, decode_bytecode
@@ -55,7 +58,7 @@ from .errors import (
     StackArityError,
     StuckStateError,
 )
-from .transfer import update_stack, with_entry_context
+from .transfer import run_stack, update_stack, with_entry_context
 
 DEFAULT_MAX_STEPS = 100_000
 
@@ -84,10 +87,19 @@ class TraceSet:
 
     When truncated, the closure was cut: the run being stepped stops short
     and each entry still queued has a one-state run. states, successors and
-    transitions are views derived from the runs on each read."""
+    transitions are derived from the runs on each read, coverage on the first."""
 
     runs: Mapping[ConcreteState, Run]
     truncated: bool
+
+    @cached_property
+    def coverage(self) -> Coverage:
+        """(entry, pc) steps and their transitions; a cut run's last has none."""
+        states = transitions = 0
+        for run, crossings in self.runs.values():
+            states += len(run)
+            transitions += len(run) - 1 + len(crossings or ())
+        return Coverage(states, transitions, self.truncated)
 
     @property
     def states(self) -> frozenset[ConcreteState]:
@@ -342,15 +354,6 @@ def _stack_covered(concrete: StackState, abstract: StackState) -> bool:
     return True
 
 
-def _coverage(traces: TraceSet) -> Coverage:
-    """(entry, pc) steps and their transitions; a cut run's last has none."""
-    states = transitions = 0
-    for run, crossings in traces.runs.values():
-        states += len(run)
-        transitions += len(run) - 1 + len(crossings or ())
-    return Coverage(states, transitions, traces.truncated)
-
-
 def _covered(stack: StackState, members: Collection[StackState]) -> bool:
     return stack in members or any(_stack_covered(stack, m) for m in members)
 
@@ -377,12 +380,12 @@ def check_jumps_to(
     program: Program, system: EquationSystem, traces: TraceSet
 ) -> Verdict:
     """Every reached state must be covered by its run's member at its pc."""
-    coverage = _coverage(traces)
     if traces.truncated:
-        return Verdict("inconclusive", (), coverage)
+        return Verdict("inconclusive", (), traces.coverage)
 
     bodies = {block.start_pc: block.body for block in system.blocks}
     stored, jumpdests = system.states, program.jumpdests
+    folds = stored.keys() <= bodies.keys()  # no interior state stored
     violations: list[Violation] = []
     start = initial_concrete_state()
     if not _covered(start.stack, system.state_at(0).get(start.stack, frozenset())):
@@ -403,8 +406,17 @@ def check_jumps_to(
             # The context's one member, stepped alone; None while it holds
             # none or several, whose set is walked instead.
             member = next(iter(members)) if len(members) == 1 else None
+            k = -1  # the walk starts after the k-th interior result
             try:
-                for prev, ins, source, state in zip(body, body[1:], states, states[1:]):
+                if folds and member is not None:
+                    # The fold stops at the k-th result if it is the first to differ.
+                    stacks = [state.stack for state in states[1:]]
+                    k, member = run_stack(body[:-1], member, jumpdests, stacks)
+                    if k < len(stacks) and not _stack_covered(stacks[k], member):
+                        violations.append(_uncovered(states[k], states[k + 1], entry))
+                for prev, ins, source, state in zip(
+                    body[k + 1 :], body[k + 2 :], states[k + 1 :], states[k + 2 :]
+                ):
                     here = stored.get(ins.pc)
                     if here is not None:
                         members = here.get(key, ())
@@ -428,16 +440,15 @@ def check_jumps_to(
             if not _covered(target.stack, members):
                 violations.append(_uncovered(states[-1], target, target))
     status = "pass" if not violations else "fail"
-    return Verdict(status, tuple(violations), coverage)
+    return Verdict(status, tuple(violations), traces.coverage)
 
 
 def check_walk(
     program: Program, cfg: Cfg, system: EquationSystem, traces: TraceSet
 ) -> Verdict:
     """Every crossing must follow an edge between replicas."""
-    coverage = _coverage(traces)
     if traces.truncated:
-        return Verdict("inconclusive", (), coverage)
+        return Verdict("inconclusive", (), traces.coverage)
 
     replicas = {(r.block_start, context): r for r, context in cfg.vertices.items()}
     edges = cfg.jump_edges | cfg.next_edges
@@ -459,7 +470,7 @@ def check_walk(
                 Violation(kind="missing_edge", pc=source.pc, detail=detail)
             )
     status = "pass" if not violations else "fail"
-    return Verdict(status, tuple(violations), coverage)
+    return Verdict(status, tuple(violations), traces.coverage)
 
 
 # ---------------------------------------------------------------------------

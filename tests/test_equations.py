@@ -473,22 +473,22 @@ def test_trace_callback_fires():
 
 
 def test_worklist_steps_each_instruction_once_per_block(monkeypatch):
-    # update_stack is bound in transfer (used by transfer()) and in
-    # equations (used by the worklist and block_exits); count calls
-    # through both. The modules come from sys.modules because
-    # evmcfg.transfer names the function. Every (replica, instruction)
-    # pair is stepped exactly once, except a halting last instruction,
-    # which is not stepped at all.
-    original = sys.modules["evmcfg.transfer"].update_stack
+    # run_stack is bound in transfer (used by update_stack) and in
+    # equations (used by the worklist for a block's interior); count the
+    # instructions folded through both. The modules come from sys.modules
+    # because evmcfg.transfer names the function. Every (replica,
+    # instruction) pair is stepped exactly once, except a halting last
+    # instruction, which is not stepped at all.
+    original = sys.modules["evmcfg.transfer"].run_stack
     calls = 0
 
-    def counted(*args):
+    def counted(instrs, *args):
         nonlocal calls
-        calls += 1
-        return original(*args)
+        calls += len(instrs)
+        return original(instrs, *args)
 
     for module in ("evmcfg.transfer", "evmcfg.equations"):
-        monkeypatch.setattr(sys.modules[module], "update_stack", counted)
+        monkeypatch.setattr(sys.modules[module], "run_stack", counted)
     shape = GeneratorShape(branch_count=50, callee_count=10, sites_per_callee=5)
     program = generate_program(1, shape)
     system = solve(program)

@@ -10,7 +10,7 @@ from __future__ import annotations
 import dataclasses
 import random
 import sys
-from collections import deque
+from collections import Counter, deque
 from typing import NamedTuple
 
 import pytest
@@ -42,6 +42,7 @@ from evmcfg.errors import (
 )
 from evmcfg.bytecode import JUMPI_BYTE
 from evmcfg.domain import MAX_STACK, StackState
+from evmcfg.transfer import run_stack
 from evmcfg.oracle import (
     DEFAULT_MAX_STEPS,
     Coverage,
@@ -511,6 +512,29 @@ def test_check_jumps_to_follows_stored_interior_states():
         assert_matches_reference(program, system, build_cfg(reference), traces)
 
 
+def test_check_jumps_to_walks_on_where_a_folded_member_first_differs():
+    # The block at 0x06 is entered with a return address in slot 0. Its
+    # doctored member leaves that slot untracked, so it differs from the run
+    # until the second POP drops the slot, and equals it from there to the
+    # block's end. The fold stops at the first difference and the walk
+    # reports every uncovered pc before the POP, as the reference does.
+    program = decode_bytecode("6006600656" "00" "5b600050506000" "5000")
+    traces = enumerate_states(program)
+    system = solve(program)
+    key = ss(1, {0: [0x06]})
+    assert system.states[0x06] == {key: frozenset({key})}
+    system.states[0x06] = {key: frozenset({ss(1)})}
+    verdict = check_jumps_to(program, system, traces)
+    assert verdict == ref_check_jumps_to(program, system, ref_enumerate_states(program))
+    # The jump into the block first, then the block's own pcs.
+    assert [(v.kind, v.pc) for v in verdict.violations] == [
+        ("uncovered_state", 0x04),
+        ("uncovered_state", 0x06),
+        ("uncovered_state", 0x07),
+        ("uncovered_state", 0x09),
+    ]
+
+
 def test_check_jumps_to_walks_several_members():
     # The worklist gives every context one member, which the checker steps
     # alone; a doctored context holding several is walked as a set. Beside
@@ -540,8 +564,8 @@ def test_check_jumps_to_walks_several_members():
 
 def test_closure_keeps_its_own_stack_semantics(monkeypatch):
     # The two sides of the differential check share no stack effect: with
-    # every binding of update_stack in the package made to raise, the
-    # closure and its stepper still run, and find the same states.
+    # every binding of update_stack and of run_stack in the package made to
+    # raise, the closure and its stepper still run, and find the same states.
     programs = [
         decode_bytecode(h) for h in (LINEAR_HEX, BRANCH_HEX, SHARED_HEX, TWO_HEIGHT_HEX)
     ]
@@ -553,16 +577,17 @@ def test_closure_keeps_its_own_stack_semantics(monkeypatch):
     expected = [enumerate_states(program) for program in programs]
 
     def refuse(*args):
-        raise AssertionError("the concrete side called update_stack")
+        raise AssertionError("the concrete side called the abstract stack effect")
 
-    patched = 0
+    patched = Counter()
     for name, module in list(sys.modules.items()):
         if name == "evmcfg" or name.startswith("evmcfg."):
             for attr, value in list(vars(module).items()):
-                if value is update_stack:
+                if value is update_stack or value is run_stack:
                     monkeypatch.setattr(module, attr, refuse)
-                    patched += 1
-    assert patched >= 4  # transfer, equations, oracle, and the package
+                    patched[value] += 1
+    assert patched[update_stack] >= 4  # transfer, equations, oracle, the package
+    assert patched[run_stack] >= 3  # transfer, equations, oracle
     start = initial_concrete_state()
     for program, closure in zip(programs, expected):
         assert enumerate_states(program) == closure

@@ -10,6 +10,7 @@ from evmcfg import decode_bytecode, join, leq, transfer, update_stack
 from evmcfg.bytecode import Instruction
 from evmcfg.domain import MAX_STACK, StackState
 from evmcfg.errors import StackArityError
+from evmcfg.transfer import run_stack
 
 from conftest import DEST_POOL, kernel_stacks, ss, stack_states
 
@@ -354,3 +355,85 @@ def test_update_stack_matches_the_old_kernel(state, jumpdests, pc, value):
         assert got == outcome(old_update_stack, ins, state, jumpdests)
         if isinstance(got, StackState):  # built unchecked, so check it here
             assert StackState(*got) == got
+
+
+# ------------------------------------------------------- the one-frame fold
+
+def reference_fold(instrs, state, jumpdests):
+    """Each result of old_update_stack along instrs, and the outcome of the
+    first error (None if there is none)."""
+    results = []
+    for ins in instrs:
+        got = outcome(old_update_stack, ins, state, jumpdests)
+        if not isinstance(got, StackState):
+            return results, got
+        results.append(state := got)
+    return results, None
+
+
+def straight_line(ops) -> list[Instruction]:
+    """One Instruction per (opcode byte, value), at consecutive pcs; a PUSH
+    pushes value cut to its width."""
+    instrs, pc = [], 0
+    for byte, value in ops:
+        spec = SPECS[byte]
+        width = spec.immediate_len
+        instrs.append(Instruction(pc, spec, value % 256**width if width else None))
+        pc += 1 + width
+    return instrs
+
+
+def folded(instrs, state, jumpdests, along=None):
+    try:
+        return run_stack(instrs, state, jumpdests, along)
+    except StackArityError as err:
+        return (type(err), err.pc, err.message)
+
+
+@given(
+    kernel_stacks(),
+    st.frozensets(st.sampled_from(DEST_POOL + (0x00,)), max_size=4),
+    st.lists(
+        st.tuples(
+            st.integers(0, 255),
+            st.one_of(st.sampled_from(DEST_POOL + (0x00,)), st.integers(0, 2**256 - 1)),
+        ),
+        max_size=12,
+    ),
+    st.data(),
+)
+@settings(max_examples=300)
+def test_run_stack_folds_the_old_kernel(state, jumpdests, ops, data):
+    # Any opcode bytes, near an empty and near a full stack: the fold is the
+    # old kernel stepped one instruction at a time, up to its first error.
+    instrs = straight_line(ops)
+    results, error = reference_fold(instrs, state, jumpdests)
+    last = results[-1] if results else state
+    expected = error or (len(instrs), last)
+    got = folded(instrs, state, jumpdests)
+    assert got == expected
+    if error is None:
+        assert StackState(*got[1]) == got[1]  # built unchecked, so check it here
+    # With along, the fold stops at the first result that differs from it,
+    # unless an error comes first.
+    along = results + [StackState(0)] * (len(instrs) - len(results))
+    i = data.draw(st.integers(0, len(instrs)), label="first difference")
+    if i < len(instrs):
+        n = along[i].n
+        along[i] = StackState(n + 1 if n < MAX_STACK else n - 1)
+    if i < len(results):
+        expected = (i, results[i])
+    assert folded(instrs, state, jumpdests, along) == expected
+
+
+def test_run_stack_returns_an_unchanged_input():
+    state = ss(2, {1: [0x03]})
+    jumpdest, push_junk, pop = instr("5b"), instr("6001"), instr("50")
+    assert run_stack((), state, J)[1] is state
+    assert run_stack((jumpdest, push_junk, pop), state, J) == (3, state)
+    assert run_stack((jumpdest, push_junk, pop), state, J)[1] is state
+    # Compared along the run, it stops at the PUSH, whose result differs.
+    along = [state, ss(3, {1: [0x03]}), state]
+    assert run_stack((jumpdest, instr("6003"), pop), state, J, along) == (
+        1, ss(3, {1: [0x03], 2: [0x03]})
+    )
