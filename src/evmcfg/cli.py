@@ -65,12 +65,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="transition budget for the checker (default %(default)s)",
     )
     parser.add_argument(
-        "--solver",
-        choices=("worklist", "naive"),
-        default="worklist",
-        help="fixpoint strategy (default %(default)s)",
-    )
-    parser.add_argument(
         "-v",
         "--verbose",
         action="count",
@@ -115,7 +109,6 @@ def run(args: argparse.Namespace) -> int:
         analysis = analyze(
             hex_text,
             check=args.check,
-            solver=args.solver,
             max_steps=args.max_steps,
             trace=trace,
         )

@@ -25,8 +25,8 @@ a flat list of Move tuples, which build_cfg turns into the graph's edges.
 
 Two layers sit here: transfer, contributions, join, leq, the naive solver,
 verify_fixpoint and state_at work per pc on whole AbstractStates, as the
-equations are written; block_exits, the entry budget check and the worklist
-solver work on one (entry context, member) pair at a time.
+equations are written; block_exits and the worklist solver work on one
+(entry context, member) pair at a time.
 
 Every block start receives only fresh entry contexts, and a block body is
 straight-line code, so each entry context has exactly one member at every
@@ -48,13 +48,16 @@ worklist's stepping, which keeps it an independent reference.
 verify_fixpoint likewise re-evaluates every per-instruction constraint over
 state_at, so it checks every derived state.
 
-Both solvers stop an input whose entry contexts grow without bound. A block
-may be entered at no more than MAX_ENTRY_HEIGHTS distinct stack heights and
-with no more than MAX_ENTRY_CONTEXTS entry contexts; a context that would
-pass either raises BudgetExceededError (budget_exceeded) naming the block
-and the context. A stack that grows on every loop turn trips the height
-budget within milliseconds. Return addresses permuted at one height add no
-height, and only the context budget stops them.
+The worklist solver stops an input whose entry contexts grow without
+bound. Each (block, entry context) pair it admits costs 1 + the context's
+tracked slots, which is what the pair's copies and hashes grow with; once
+the sum would pass MAX_WORK, BudgetExceededError (budget_exceeded) names
+the block and the context. Every stack is bounded by MAX_STACK, so a
+budget stop is a finite computation cut short: a stack that grows by one
+slot per loop turn, whose cost grows with the square of its height, or
+return addresses permuted at one height. A growing stack the budget
+admits ends in the true stack_arity_error. The naive solver has no
+budget: it is the reference, run only on programs the worklist solved.
 """
 
 from __future__ import annotations
@@ -77,8 +80,7 @@ from .errors import (
 from .transfer import run_stack, transfer, update_stack, with_entry_context
 
 __all__ = [
-    "MAX_ENTRY_CONTEXTS",
-    "MAX_ENTRY_HEIGHTS",
+    "MAX_WORK",
     "ConstraintVar",
     "EquationSystem",
     "SolveStats",
@@ -90,13 +92,11 @@ __all__ = [
     "idmap",
 ]
 
-# Distinct stack heights a block may be entered at. Generated, scaled and
-# solved fuzz programs stay at 15 or fewer; an input whose entry contexts
-# grow by one slot per loop turn reaches it within milliseconds.
-MAX_ENTRY_HEIGHTS = 64
-# Entry contexts a block may be entered with: the scaled programs of
-# generator seeds 1 and 3 reach 100 and 220, solved fuzz inputs 2.
-MAX_ENTRY_CONTEXTS = 512
+# Work the worklist may spend: 1 + tracked slots per admitted (block,
+# context) pair. The scaled programs of generator seeds 1-3 need 7,344 to
+# 10,336; a stack that grows by one slot per turn spends it within a few
+# milliseconds.
+MAX_WORK = 2**15
 # One move of a replica into a new block: (block start, entry context,
 # kind, target pc, landed state), one block_exits result of the context's
 # member at the last pc. A replica whose block halts or runs off the end
@@ -260,31 +260,10 @@ def contributions(
     return [(next_pc, transfer(instr, pi, program.jumpdests))]
 
 
-def _check_entry_budget(
-    pc: int, heights: set[int], held: AbstractState, key: StackState
-) -> None:
-    """Check the new entry context key against the budgets of the block at
-    pc, entered with held at the heights in heights (kept up to date); raise
-    BudgetExceededError past either budget."""
-    if key.n not in heights and len(heights) == MAX_ENTRY_HEIGHTS:
-        full = f"at {MAX_ENTRY_HEIGHTS} stack heights"
-    elif len(held) == MAX_ENTRY_CONTEXTS:
-        full = f"with {MAX_ENTRY_CONTEXTS} entry contexts"
-    else:
-        heights.add(key.n)
-        return
-    raise BudgetExceededError(
-        f"block at pc 0x{pc:x} is already entered {full}; entry context"
-        f" {key.render()} would add another",
-        pc=pc,
-    )
-
-
 def _solve_worklist(
     program: Program,
     blocks: tuple[Block, ...],
     states: dict[int, AbstractState],
-    heights: dict[int, set[int]],
     stats: SolveStats,
     moves: list[Move],
     record: bool,
@@ -294,6 +273,7 @@ def _solve_worklist(
     by_start = {b.start_pc: (b.body[:-1], b.body[-1]) for b in blocks}
     # (block start, entry context) pairs not yet moved through their block.
     pending = deque((0, key) for key in states[0])
+    work = 0
     while pending:
         start, key = pending.popleft()
         stats.pops += 1
@@ -307,7 +287,14 @@ def _solve_worklist(
             held = states.setdefault(target, {})
             if landed in held:
                 continue
-            _check_entry_budget(target, heights[target], held, landed)
+            work += 1 + len(landed.sigma)
+            if work > MAX_WORK:
+                raise BudgetExceededError(
+                    f"solver work would pass MAX_WORK = {MAX_WORK}: block at"
+                    f" pc 0x{target:x} would be entered with context"
+                    f" {landed.render()}",
+                    pc=target,
+                )
             before = dict(held) if record else None
             held[landed] = frozenset((landed,))
             if record:
@@ -324,7 +311,6 @@ def _solve_worklist(
 def _solve_naive(
     program: Program,
     states: dict[int, AbstractState],
-    heights: dict[int, set[int]],
     stats: SolveStats,
     record: bool,
     trace: Callable[[str], None] | None,
@@ -339,10 +325,6 @@ def _solve_naive(
                 held = states[target]
                 if leq(contributed, held):
                     continue
-                if target in heights:
-                    # A block start receives one fresh context at a time.
-                    (key,) = contributed
-                    _check_entry_budget(target, heights[target], held, key)
                 value = join(held, contributed)
                 if record:
                     stats.updates.append((target, held, value))
@@ -366,9 +348,9 @@ def solve(
 
     mode selects the block worklist solver or the naive per-instruction
     one; both reach the same fixpoint. record keeps per-update history in
-    solve_stats for monotonicity checks. Raises BudgetExceededError when a
-    block would be entered at more than MAX_ENTRY_HEIGHTS distinct stack
-    heights or with more than MAX_ENTRY_CONTEXTS entry contexts.
+    solve_stats for monotonicity checks. The worklist raises
+    BudgetExceededError when its work would pass MAX_WORK; the naive
+    solver has no budget.
     """
     if not program.instructions:
         raise AnalysisError("program has no instructions")
@@ -377,19 +359,16 @@ def solve(
 
     blocks, unreached = partition_blocks(program)
     stats = SolveStats(mode=mode)
-    # Stack heights each block is entered at, kept as contexts arrive.
-    heights = {block.start_pc: set() for block in blocks}
-    heights[0].add(0)
     if mode == "worklist":
         states = {0: initial_state()}
         moves: list[Move] = []
-        _solve_worklist(program, blocks, states, heights, stats, moves, record, trace)
+        _solve_worklist(program, blocks, states, stats, moves, record, trace)
     else:
         states = {ins.pc: bottom() for ins in program.instructions}
         states[0] = initial_state()
         if record:
             stats.snapshots.append(dict(states))
-        _solve_naive(program, states, heights, stats, record, trace)
+        _solve_naive(program, states, stats, record, trace)
         # Moves out of each block's last-pc members; an unentered block has none.
         moves = [
             (block.start_pc, key, kind, target, landed)

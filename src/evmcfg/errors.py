@@ -62,8 +62,7 @@ class InvalidTargetError(AnalysisError):
 
 
 class BudgetExceededError(AnalysisError):
-    """A block would be entered at more than MAX_ENTRY_HEIGHTS stack heights
-    or with more than MAX_ENTRY_CONTEXTS entry contexts (see equations.py)."""
+    """The worklist solver's work would pass MAX_WORK (see equations.py)."""
 
     kind = "budget_exceeded"
 

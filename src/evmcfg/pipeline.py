@@ -40,7 +40,6 @@ def analyze(
     program: Program | str,
     *,
     check: bool = True,
-    solver: str = "worklist",
     max_steps: int = DEFAULT_MAX_STEPS,
     trace: Callable[[str], None] | None = None,
 ) -> Analysis:
@@ -51,7 +50,7 @@ def analyze(
     """
     if isinstance(program, str):
         program = decode_bytecode(program)
-    system = solve(program, mode=solver, trace=trace)
+    system = solve(program, trace=trace)
     cfg = build_cfg(system)
     traces = jumps_to = walk = None
     if check:

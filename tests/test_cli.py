@@ -234,21 +234,14 @@ def test_verbose_solver_trace(capsys):
     assert "grow" in err
 
 
-def test_solver_choice_matches_default_output(tmp_path, capsys):
-    paths = []
-    for i, solver in enumerate(["worklist", "naive"]):
-        dot = tmp_path / f"{i}.dot"
-        js = tmp_path / f"{i}.json"
-        code, _, _ = run_main(
-            capsys,
-            "--hex", SHARED_HEX,
-            "--solver", solver,
-            "--dot", str(dot),
-            "--json", str(js),
-        )
-        assert code == EXIT_OK
-        paths.append((dot.read_bytes(), js.read_bytes()))
-    assert paths[0] == paths[1]
+def test_solver_flag_is_gone(capsys):
+    # The naive solver is a test reference with no budget, not a CLI choice.
+    code, out, err = run_main(
+        capsys, "--hex", SHARED_HEX, "--blocks", "--solver", "naive"
+    )
+    assert code == EXIT_ERROR
+    assert out == ""
+    assert "unrecognized arguments: --solver naive" in err
 
 
 def test_repeated_runs_byte_identical(tmp_path, capsys):
@@ -284,9 +277,19 @@ def test_unbounded_entry_heights_exit_with_budget_error():
     assert json.loads(proc.stderr)["error"]["pc"] == 0
 
 
+def test_growing_stack_exits_with_overflow(capsys):
+    # The stack grows by one slot per loop turn until a PUSH at pc 5 would
+    # make it 1025 high: the true error, reached within the work budget.
+    code, out, err = run_main(capsys, "--hex", "600b5b6007600256585b565b", "--blocks")
+    assert code == EXIT_ERROR
+    assert out == ""
+    report = json.loads(err)["error"]
+    assert (report["kind"], report["pc"]) == ("stack_arity_error", 5)
+
+
 def test_permuted_return_addresses_exit_with_budget_error():
     # 62 bytes whose loop head would be entered with 2^14 - 1 contexts at one
-    # stack height; the context budget stops it.
+    # stack height; the work budget stops it.
     proc = subprocess.run(
         [sys.executable, "-m", "evmcfg", "--hex", shift_register_hex(13), "--blocks"],
         capture_output=True,
@@ -297,7 +300,7 @@ def test_permuted_return_addresses_exit_with_budget_error():
     assert proc.returncode == EXIT_ERROR
     assert proc.stdout == ""
     assert '"kind": "budget_exceeded"' in proc.stderr
-    assert "entry contexts" in json.loads(proc.stderr)["error"]["message"]
+    assert "would pass MAX_WORK" in json.loads(proc.stderr)["error"]["message"]
 
 
 def test_subprocess_smoke(tmp_path):

@@ -18,7 +18,9 @@ from hypothesis import strategies as st
 
 from evmcfg import (
     GeneratorShape,
+    build_cfg,
     decode_bytecode,
+    enumerate_states,
     generate_program,
     idmap,
     initial_state,
@@ -27,13 +29,8 @@ from evmcfg import (
     solve,
     verify_fixpoint,
 )
-from evmcfg.equations import (
-    MAX_ENTRY_CONTEXTS,
-    MAX_ENTRY_HEIGHTS,
-    _check_entry_budget,
-    block_exits,
-    contributions,
-)
+from evmcfg import equations
+from evmcfg.equations import block_exits, contributions
 from evmcfg.errors import (
     AnalysisError,
     BudgetExceededError,
@@ -328,65 +325,83 @@ UNBOUNDED_SOURCES = [
     "600b5b6007600256585b565b",
     "5b600a60005657296756a0c42e6afa",
 ]
+# In these two every slot pushed holds a tracked destination, so the work to
+# reach the overflow grows with the square of the height: the budget stops
+# them first.
+QUADRATIC_SOURCES = UNBOUNDED_SOURCES[:2]
 
 
-@pytest.mark.parametrize("mode", ["worklist", "naive"])
+# The naive reference has no budget, so only the worklist runs the
+# unbounded inputs below.
+@pytest.mark.parametrize("mode", ["worklist"])
 @pytest.mark.parametrize("hex_text", UNBOUNDED_SOURCES)
 def test_unbounded_entry_heights_exceed_budget(hex_text, mode):
+    # A growing stack ends in the closure's overflow at the same pc, or,
+    # for a quadratic source, in budget_exceeded within 0.1 s.
     program = decode_bytecode(hex_text)
-    with pytest.raises(BudgetExceededError) as exc:
+    with pytest.raises(AnalysisError) as concrete:
+        enumerate_states(program, max_steps=20_000)
+    started = time.process_time()
+    with pytest.raises(AnalysisError) as exc:
         solve(program, mode=mode)
+    if exc.value.kind == "budget_exceeded":
+        assert hex_text in QUADRATIC_SOURCES
+        assert time.process_time() - started < 0.1
+        assert f"block at pc 0x{exc.value.pc:x}" in exc.value.message
+    else:
+        assert exc.value.kind == concrete.value.kind
+        assert exc.value.pc == concrete.value.pc
+
+
+def test_work_budget_boundary(monkeypatch):
+    # Every stored context but the initial one at pc 0 was admitted, at a
+    # cost of 1 + its tracked slots. That total fits the budget exactly;
+    # one less stops the solve at the last context admitted.
+    program = decode_bytecode(shift_register_hex(7))
+    system = solve(program, record=True)
+    states = system.states.values()
+    work = sum(1 + len(key.sigma) for state in states for key in state) - 1
+    assert work == 9_475
+    pc, before, after = system.solve_stats.updates[-1]
+    (last,) = after.keys() - before.keys()
+    monkeypatch.setattr(equations, "MAX_WORK", work)
+    assert len(build_cfg(solve(program)).vertices) == 1_276
+    monkeypatch.setattr(equations, "MAX_WORK", work - 1)
+    with pytest.raises(BudgetExceededError) as exc:
+        solve(program)
     assert exc.value.kind == "budget_exceeded"
-    assert exc.value.pc is not None
-    assert f"block at pc 0x{exc.value.pc:x}" in exc.value.message
+    assert exc.value.pc == pc
+    assert exc.value.message == (
+        f"solver work would pass MAX_WORK = {work - 1}: block at pc 0x{pc:x}"
+        f" would be entered with context {last.render()}"
+    )
 
 
-def test_entry_height_budget_counts_distinct_heights():
-    # more contexts than the budget, at exactly MAX_ENTRY_HEIGHTS heights
-    entered = {ss(n): frozenset({ss(n)}) for n in range(MAX_ENTRY_HEIGHTS)}
-    for n in range(1, 30):
-        entered[ss(n, {0: [0x10]})] = frozenset({ss(n, {0: [0x10]})})
-    heights = {key.n for key in entered}
-    # a new shape at a height already entered fits the budget
-    _check_entry_budget(0x10, heights, entered, ss(3, {1: [0x10]}))
-    with pytest.raises(BudgetExceededError) as exc:
-        _check_entry_budget(0x10, heights, entered, ss(MAX_ENTRY_HEIGHTS))
-    assert exc.value.pc == 0x10
-    assert ss(MAX_ENTRY_HEIGHTS).render() in exc.value.message
-
-
-def test_entry_context_budget_counts_new_contexts():
-    # MAX_ENTRY_CONTEXTS contexts at one height: one more raises. Both
-    # solvers check only a context the block does not hold yet.
-    entered = {
-        ss(2, {0: [i], 1: [j]}): frozenset({ss(2, {0: [i], 1: [j]})})
-        for i in range(32)
-        for j in range(MAX_ENTRY_CONTEXTS // 32)
-    }
-    assert len(entered) == MAX_ENTRY_CONTEXTS
-    heights = {2}
-    new = ss(2, {0: [0, 1]})
-    with pytest.raises(BudgetExceededError) as exc:
-        _check_entry_budget(0x10, heights, entered, new)
-    assert exc.value.pc == 0x10
-    assert f"{MAX_ENTRY_CONTEXTS} entry contexts" in exc.value.message
-    assert new.render() in exc.value.message
-    assert heights == {2}
-
-
-@pytest.mark.parametrize("mode", ["worklist", "naive"])
+@pytest.mark.parametrize("mode", ["worklist"])
 @pytest.mark.parametrize("k", [10, 13, 16])
 def test_permuted_return_addresses_exceed_context_budget(k, mode):
-    # All contexts share one height, so only the context budget stops them,
-    # and it must do so within the 1 s bound held for unbounded shapes.
+    # Return addresses permuted at one height: the work budget stops them
+    # within the 1 s bound held for unbounded shapes.
     program = decode_bytecode(shift_register_hex(k))
     started = time.process_time()
     with pytest.raises(BudgetExceededError) as exc:
         solve(program, mode=mode)
     assert time.process_time() - started < 1.0
     assert exc.value.pc is not None
-    assert f"block at pc 0x{exc.value.pc:x}" in exc.value.message
-    assert f"{MAX_ENTRY_CONTEXTS} entry contexts" in exc.value.message
+    assert exc.value.message.startswith(
+        f"solver work would pass MAX_WORK = {equations.MAX_WORK}: block at"
+        f" pc 0x{exc.value.pc:x} would be entered with context <{k},"
+    )
+
+
+def test_program_above_eip170_solves():
+    # 57,987 bytes, past the 24,576-byte code limit; 720 contexts enter one
+    # block, which a per-block context cap would refuse.
+    program = generate_program(
+        2, GeneratorShape(branch_count=800, callee_count=40, sites_per_callee=60)
+    )
+    assert program.code_len == 57_987
+    assert len(build_cfg(solve(program)).vertices) == 11_641
 
 
 def test_shift_register_below_the_budget_solves():
