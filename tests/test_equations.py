@@ -353,10 +353,32 @@ def test_unbounded_entry_heights_exceed_budget(hex_text, mode):
         assert exc.value.pc == concrete.value.pc
 
 
-def test_work_budget_boundary(monkeypatch):
+def test_entry_height_budget_counts_distinct_heights(monkeypatch):
+    # Each loop turn enters pc 0 at one height more with every slot tracked,
+    # so each distinct height h is admitted once at a cost of 1 + h. The
+    # solve stops at the first height whose running cost passes MAX_WORK.
+    program = decode_bytecode("5b6000600056")
+    for budget in (5, 20, 50, 100):
+        height, spent = 1, 2
+        while spent <= budget:
+            height += 1
+            spent += 1 + height
+        monkeypatch.setattr(equations, "MAX_WORK", budget)
+        with pytest.raises(BudgetExceededError) as exc:
+            solve(program)
+        assert exc.value.pc == 0
+        assert exc.value.message.startswith(
+            f"solver work would pass MAX_WORK = {budget}: block at pc 0x0"
+            f" would be entered with context <{height}, "
+        )
+        assert exc.value.message.endswith(f"s{height - 1}:{{0x0}}}}>")
+
+
+def test_entry_context_budget_counts_new_contexts(monkeypatch):
     # Every stored context but the initial one at pc 0 was admitted, at a
-    # cost of 1 + its tracked slots. That total fits the budget exactly;
-    # one less stops the solve at the last context admitted.
+    # cost of 1 + its tracked slots; contexts a block already holds cost
+    # nothing. That total fits the budget exactly; one less stops the solve
+    # at the last context admitted.
     program = decode_bytecode(shift_register_hex(7))
     system = solve(program, record=True)
     states = system.states.values()
