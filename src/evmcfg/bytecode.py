@@ -24,6 +24,7 @@ JUMPDEST_BYTE = 0x5B
 _HALTING = {0x00, 0xF3, 0xFD, 0xFE, 0xFF}
 
 
+# A dataclass: hot loops read its fields, faster than a NamedTuple's.
 @dataclass(frozen=True)
 class OpSpec:
     """Static description of one opcode: stack arity and immediate width."""
@@ -186,6 +187,7 @@ class Instruction(NamedTuple):
         return self.spec.mnemonic
 
 
+# A dataclass: its pc map stays out of eq and hash, so Program hashes.
 @dataclass(frozen=True)
 class Program:
     """Decoded bytecode: ordered instructions plus jump landing set."""

@@ -34,10 +34,9 @@ comparison.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from typing import NamedTuple
 
-from .domain import StackState
+from .domain import EMPTY_STACK, StackState
 from .equations import EquationSystem
 
 
@@ -51,8 +50,7 @@ class ReplicaId(NamedTuple):
         return f"B_0x{self.block_start:02x}_{self.id}"
 
 
-@dataclass(frozen=True)
-class Cfg:
+class Cfg(NamedTuple):
     """The replica graph. vertices maps each replica to its entry context."""
 
     vertices: dict[ReplicaId, StackState]
@@ -78,12 +76,8 @@ def build_cfg(system: EquationSystem) -> Cfg:
     for start, context, kind, target, landed in system.moves:
         edges[kind].append((ids[start, context], ids[target, landed]))
 
-    return Cfg(
-        vertices=vertices,
-        jump_edges=frozenset(edges["jump"]),
-        next_edges=frozenset(edges["next"]),
-        entry=ids[0, StackState(0)],
-    )
+    jump_edges, next_edges = frozenset(edges["jump"]), frozenset(edges["next"])
+    return new(Cfg, (vertices, jump_edges, next_edges, ids[0, EMPTY_STACK]))
 
 
 def export_dot(cfg: Cfg, system: EquationSystem) -> str:

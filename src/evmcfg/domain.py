@@ -114,6 +114,10 @@ class StackState(_Stack):
         return self.render()
 
 
+# The stack at pc 0, built and checked once: every analysis shares it.
+EMPTY_STACK = StackState(0)
+
+
 # Partial map from entry stack shapes to the states they have become.
 AbstractState = dict[StackState, frozenset[StackState]]
 

@@ -69,7 +69,7 @@ from typing import Callable, Mapping, NamedTuple
 
 from .blocks import Block, partition_blocks
 from .bytecode import Instruction, JUMPI_BYTE, Program
-from .domain import AbstractState, StackState, bottom, idmap, join, leq
+from .domain import EMPTY_STACK, AbstractState, StackState, bottom, idmap, join, leq
 from .errors import (
     AnalysisError,
     BudgetExceededError,
@@ -111,6 +111,8 @@ class ConstraintVar(NamedTuple):
     value: AbstractState
 
 
+# SolveStats and EquationSystem stay mutable dataclasses: the solvers fill
+# both in as they run, and state_at adds each state it derives.
 @dataclass
 class SolveStats:
     mode: str
@@ -181,7 +183,8 @@ class EquationSystem:
 
 
 def initial_state() -> AbstractState:
-    return idmap(StackState(0))
+    """A new map on every call: the worklist writes into the state at pc 0."""
+    return idmap(EMPTY_STACK)
 
 
 def block_exits(

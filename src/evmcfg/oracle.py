@@ -44,13 +44,11 @@ from __future__ import annotations
 import itertools
 import random
 from collections import deque
-from dataclasses import dataclass
-from functools import cached_property
 from typing import Collection, Mapping, NamedTuple
 
 from .bytecode import OPCODES, JUMPI_BYTE, Instruction, Program, decode_bytecode
 from .cfg import Cfg
-from .domain import MAX_STACK, StackState
+from .domain import EMPTY_STACK, MAX_STACK, StackState
 from .equations import EquationSystem
 from .errors import (
     AnalysisError,
@@ -81,25 +79,17 @@ class Run(NamedTuple):
     crossings: tuple[ConcreteState, ...] | None
 
 
-@dataclass(frozen=True)
-class TraceSet:
+class TraceSet(NamedTuple):
     """The closure: runs maps each entry to its Run, in the order found.
 
     When truncated, the closure was cut: the run being stepped stops short
-    and each entry still queued has a one-state run. states, successors and
-    transitions are derived from the runs on each read, coverage on the first."""
+    and each entry still queued has a one-state run. coverage counts the
+    runs once, as enumerate_states builds the closure; states, successors
+    and transitions are derived from the runs on each read."""
 
     runs: Mapping[ConcreteState, Run]
     truncated: bool
-
-    @cached_property
-    def coverage(self) -> Coverage:
-        """(entry, pc) steps and their transitions; a cut run's last has none."""
-        states = transitions = 0
-        for run, crossings in self.runs.values():
-            states += len(run)
-            transitions += len(run) - 1 + len(crossings or ())
-        return Coverage(states, transitions, self.truncated)
+    coverage: Coverage
 
     @property
     def states(self) -> frozenset[ConcreteState]:
@@ -130,8 +120,7 @@ class TraceSet:
         return ()
 
 
-@dataclass(frozen=True)
-class Violation:
+class Violation(NamedTuple):
     kind: str
     pc: int
     detail: str
@@ -140,8 +129,7 @@ class Violation:
         return {"kind": self.kind, "pc": self.pc, "detail": self.detail}
 
 
-@dataclass(frozen=True)
-class Coverage:
+class Coverage(NamedTuple):
     states: int
     transitions: int
     truncated: bool
@@ -154,8 +142,7 @@ class Coverage:
         }
 
 
-@dataclass(frozen=True)
-class Verdict:
+class Verdict(NamedTuple):
     status: str  # pass, fail, or inconclusive
     violations: tuple[Violation, ...]
     coverage: Coverage
@@ -281,8 +268,20 @@ def _moved(
     return shared
 
 
+_START = ConcreteState(0, EMPTY_STACK)
+
+
 def initial_concrete_state() -> ConcreteState:
-    return ConcreteState(0, StackState(0))
+    return _START
+
+
+def _coverage(runs: Mapping[ConcreteState, Run], truncated: bool) -> Coverage:
+    """(entry, pc) steps and their transitions; a cut run's last has none."""
+    states = transitions = 0
+    for run, crossings in runs.values():
+        states += len(run)
+        transitions += len(run) - 1 + len(crossings or ())
+    return tuple.__new__(Coverage, (states, transitions, truncated))
 
 
 def enumerate_states(program: Program, max_steps: int = DEFAULT_MAX_STEPS) -> TraceSet:
@@ -296,7 +295,7 @@ def enumerate_states(program: Program, max_steps: int = DEFAULT_MAX_STEPS) -> Tr
     """
     if not program.instructions:
         raise AnalysisError("program has no instructions")
-    start = initial_concrete_state()
+    start = _START
     parents: dict[ConcreteState, ConcreteState | None] = {start: None}
     runs: dict[ConcreteState, Run] = {}
     stacks = {start.stack: start.stack}
@@ -335,13 +334,13 @@ def enumerate_states(program: Program, max_steps: int = DEFAULT_MAX_STEPS) -> Tr
         if steps > max_steps:
             runs[entry] = Run(tuple(run), None)
             runs.update((rest, Run((rest,), None)) for rest in queue)
-            return TraceSet(runs, True)
+            return tuple.__new__(TraceSet, (runs, True, _coverage(runs, True)))
         runs[entry] = Run(tuple(run), successors)
         for target in successors:
             if parents.setdefault(target, entry) is entry:  # first reached
                 queue.append(target)
 
-    return TraceSet(runs, False)
+    return tuple.__new__(TraceSet, (runs, False, _coverage(runs, False)))
 
 
 def _stack_covered(concrete: StackState, abstract: StackState) -> bool:
@@ -387,7 +386,7 @@ def check_jumps_to(
     stored, jumpdests = system.states, program.jumpdests
     folds = stored.keys() <= bodies.keys()  # no interior state stored
     violations: list[Violation] = []
-    start = initial_concrete_state()
+    start = _START
     if not _covered(start.stack, system.state_at(0).get(start.stack, frozenset())):
         violations.append(_uncovered(None, start, start))
     for entry, (states, crossings) in traces.runs.items():
@@ -440,7 +439,7 @@ def check_jumps_to(
             if not _covered(target.stack, members):
                 violations.append(_uncovered(states[-1], target, target))
     status = "pass" if not violations else "fail"
-    return Verdict(status, tuple(violations), traces.coverage)
+    return tuple.__new__(Verdict, (status, tuple(violations), traces.coverage))
 
 
 def check_walk(
@@ -453,7 +452,7 @@ def check_walk(
     replicas = {(r.block_start, context): r for r, context in cfg.vertices.items()}
     edges = cfg.jump_edges | cfg.next_edges
     violations: list[Violation] = []
-    start = initial_concrete_state()
+    start = _START
     if replicas.get(start) != cfg.entry:
         detail = f"initial state {start.render()} is not the entry vertex"
         violations.append(Violation(kind="missing_edge", pc=0, detail=detail))
@@ -470,15 +469,14 @@ def check_walk(
                 Violation(kind="missing_edge", pc=source.pc, detail=detail)
             )
     status = "pass" if not violations else "fail"
-    return Verdict(status, tuple(violations), traces.coverage)
+    return tuple.__new__(Verdict, (status, tuple(violations), traces.coverage))
 
 
 # ---------------------------------------------------------------------------
 # Randomized program generation
 
 
-@dataclass(frozen=True)
-class GeneratorShape:
+class GeneratorShape(NamedTuple):
     """Size box for generated programs.
 
     max_call_depth of 1 keeps subroutines leaf-only; larger values let a

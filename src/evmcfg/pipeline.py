@@ -6,8 +6,7 @@ pipeline through analyze, so its phase order and the verdict rule live here.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .bytecode import Program, decode_bytecode
 from .cfg import Cfg, build_cfg
@@ -16,8 +15,7 @@ from .oracle import DEFAULT_MAX_STEPS, TraceSet, Verdict
 from .oracle import check_jumps_to, check_walk, enumerate_states
 
 
-@dataclass(frozen=True)
-class Analysis:
+class Analysis(NamedTuple):
     """Artifacts of one run; traces and verdicts are None without the check."""
 
     program: Program
@@ -57,4 +55,4 @@ def analyze(
         traces = enumerate_states(program, max_steps=max_steps)
         jumps_to = check_jumps_to(program, system, traces)
         walk = check_walk(program, cfg, system, traces)
-    return Analysis(program, system, cfg, traces, jumps_to, walk)
+    return tuple.__new__(Analysis, (program, system, cfg, traces, jumps_to, walk))

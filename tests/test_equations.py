@@ -17,6 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from evmcfg import (
+    ConcreteState,
     GeneratorShape,
     build_cfg,
     decode_bytecode,
@@ -31,6 +32,7 @@ from evmcfg import (
 )
 from evmcfg import equations
 from evmcfg.equations import block_exits, contributions
+from evmcfg.oracle import initial_concrete_state
 from evmcfg.errors import (
     AnalysisError,
     BudgetExceededError,
@@ -48,6 +50,25 @@ def full_solution(system):
 
 def test_initial_state():
     assert initial_state() == {ss(0): frozenset({ss(0)})}
+
+
+def test_start_state_shares_no_mutable_map():
+    # A jump back to pc 0 writes its context into the state there, so
+    # initial_state builds a new map on every call. Only the empty stack and
+    # the start ConcreteState, both immutable, are shared.
+    with pytest.raises(BudgetExceededError) as exc:
+        solve(decode_bytecode("5b6000600056"))  # grows the stack at pc 0
+    assert exc.value.pc == 0
+    assert initial_state() == {ss(0): frozenset({ss(0)})}
+    assert initial_state() is not initial_state()
+    assert initial_concrete_state() == ConcreteState(0, ss(0))
+    empty = ss(0)
+    assert full_solution(solve(decode_bytecode("6003565b00"))) == {
+        0x00: idmap(empty),
+        0x02: {empty: frozenset({ss(1, {0: [0x03]})})},
+        0x03: idmap(empty),
+        0x04: idmap(empty),
+    }
 
 
 def test_linear_full_solution(linear):

@@ -881,6 +881,35 @@ def test_runs_match_the_state_closure(linear, branch, shared, two_height):
         )
 
 
+def recount(traces) -> Coverage:
+    """(entry, pc) steps and the steps between them, counted from the runs."""
+    states = sum(len(run.states) for run in traces.runs.values())
+    transitions = sum(
+        len(run.states) - 1 + len(run.crossings or ())
+        for run in traces.runs.values()
+    )
+    return Coverage(states, transitions, traces.truncated)
+
+
+def test_coverage_is_counted_once_from_the_runs():
+    # enumerate_states fills coverage in as it returns, and both verdicts
+    # carry that one object, cut closures included.
+    rng = random.Random(0xC0)
+    programs = [decode_bytecode(h) for h in (LINEAR_HEX, BRANCH_HEX, SHARED_HEX)]
+    programs += [
+        generate_program(seed, random_shape(random.Random(seed)))
+        for seed in (rng.getrandbits(32) for _ in range(50))
+    ]
+    for program in programs:
+        whole, cut = analyze(program), analyze(program, max_steps=2)
+        assert cut.traces.truncated == (whole.traces.coverage.transitions > 2)
+        for analysis in (whole, cut):
+            traces = analysis.traces
+            assert traces.coverage == recount(traces)
+            assert analysis.jumps_to.coverage is traces.coverage
+            assert analysis.walk.coverage is traces.coverage
+
+
 def closure_outcome(enumerate_fn, program):
     try:
         return enumerate_fn(program), None

@@ -3,11 +3,12 @@
 from __future__ import annotations
 
 import itertools
+import sys
 
 from evmcfg import Analysis, GeneratorShape, Verdict, analyze, generate_program
 from evmcfg.oracle import Coverage
 
-from conftest import LINEAR_HEX
+from conftest import BRANCH_HEX, LINEAR_HEX, SHARED_HEX
 
 STATUSES = ("pass", "inconclusive", "fail")
 
@@ -40,3 +41,32 @@ def test_scaled_program_passes_the_check():
     analysis = analyze(generate_program(1, shape))
     assert analysis.verdict == "pass"
     assert analysis.jumps_to.coverage.states == 36_737
+
+
+def python_calls(hex_text: str) -> int:
+    """Python-level calls, generator resumptions included, in one analyze."""
+    calls = 0
+
+    def count(frame, event, arg):
+        nonlocal calls
+        calls += event == "call"
+
+    sys.setprofile(count)
+    try:
+        analyze(hex_text)
+    finally:
+        sys.setprofile(None)
+    return calls
+
+
+def test_analysis_fixed_cost_stays_low():
+    # On tiny programs each analysis's fixed cost outweighs its fixpoint, so
+    # count the Python-level calls one checked analyze makes. The bounds are
+    # the counts on Python 3.11, after the result records became NamedTuples
+    # built by tuple.__new__ and the start state was built once (77/91/141
+    # before). They are upper bounds: Python 3.12 and later inline
+    # comprehensions, whose calls then go uncounted.
+    bounds = {LINEAR_HEX: 59, BRANCH_HEX: 73, SHARED_HEX: 123}
+    for hex_text, bound in bounds.items():
+        analyze(hex_text)  # nothing left to set up on first use
+        assert python_calls(hex_text) <= bound
