@@ -1,10 +1,11 @@
 """Stack-sensitive control-flow graphs for EVM bytecode.
 
-The pipeline: decode bytecode, partition it into basic blocks, solve a flow
-constraint system that tracks pushed jump destinations through the operand
-stack, and expand each block into one graph vertex per reaching stack
-shape. An executable reference semantics double-checks the result: it
-runs the bytecode block by block and checks each run against its replica.
+The pipeline: decode bytecode, solve a flow constraint system over its
+basic blocks, scanned as the solver reaches them, that tracks pushed jump
+destinations through the operand stack, and expand each block into one
+graph vertex per reaching stack shape. An executable reference semantics
+double-checks the result: it runs the bytecode block by block and checks
+each run against its replica.
 """
 
 from .blocks import Block, Terminator, partition_blocks

@@ -7,16 +7,19 @@ that satisfy no start condition and follow a closed block (dead filler
 between a halt and the next JUMPDEST) belong to no block at all and are
 reported separately as unreached.
 
-partition_blocks finds the boundaries in one scan over the instructions and
-slices each block's body out of the program's instruction tuple. A Block is
-a tuple built from that slice, so start_pc and end_pc are the pcs of its
-first and last instruction by construction.
+scan_blocks holds the boundary rules. It walks the instructions once, in pc
+order, and yields each block as the walk closes it, so blocks are scanned
+on demand: the worklist solver pulls them only as far as the blocks it
+enters, and partition_blocks runs the scan to the end. Each block's body is
+sliced out of the program's instruction tuple. A Block is a tuple built
+from that slice, so start_pc and end_pc are the pcs of its first and last
+instruction by construction.
 """
 
 from __future__ import annotations
 
 import enum
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
 
 from .bytecode import Instruction, Program, JUMPDEST_BYTE, JUMPI_BYTE, JUMP_BYTE
 
@@ -44,19 +47,21 @@ class Block(NamedTuple):
         return self.body[-1]
 
 
-def partition_blocks(program: Program) -> tuple[tuple[Block, ...], frozenset[int]]:
-    """Split a program into blocks plus the set of unreached pcs."""
+def scan_blocks(program: Program, unreached: list[int]) -> Iterator[Block]:
+    """Yield the program's blocks in pc order, in one pass, appending each
+    unreached pc to unreached as the pass goes by it."""
     instructions = program.instructions
-    # (first index, index past the last, terminator) of each block.
-    cuts: list[tuple[int, int, Terminator]] = []
-    unreached: list[int] = []
+    new = tuple.__new__
     first = 0  # index of the open block's first instruction; None when closed
     for i, ins in enumerate(instructions):
         spec = ins.spec
         byte = spec.byte_value
         if byte == JUMPDEST_BYTE:
             if first is not None and first < i:
-                cuts.append((first, i, Terminator.FALL_TO_JUMPDEST))
+                body = instructions[first:i]
+                yield new(
+                    Block, (body[0].pc, body[-1].pc, body, Terminator.FALL_TO_JUMPDEST)
+                )
             first = i
         elif first is None:
             unreached.append(ins.pc)
@@ -64,21 +69,24 @@ def partition_blocks(program: Program) -> tuple[tuple[Block, ...], frozenset[int
                 first = i + 1
             continue
         if spec.is_jump or spec.halts:
+            body = instructions[first : i + 1]
             if byte == JUMP_BYTE:
-                cuts.append((first, i + 1, Terminator.JUMP))
+                terminator = Terminator.JUMP
                 first = None
             elif byte == JUMPI_BYTE:
-                cuts.append((first, i + 1, Terminator.JUMPI))
+                terminator = Terminator.JUMPI
                 first = i + 1
             else:
-                cuts.append((first, i + 1, Terminator.END))
+                terminator = Terminator.END
                 first = None
+            yield new(Block, (body[0].pc, ins.pc, body, terminator))
     if first is not None and first < len(instructions):
-        cuts.append((first, len(instructions), Terminator.CODE_END))
+        body = instructions[first:]
+        yield new(Block, (body[0].pc, body[-1].pc, body, Terminator.CODE_END))
 
-    new = tuple.__new__
-    blocks = []
-    for start, stop, terminator in cuts:
-        body = instructions[start:stop]
-        blocks.append(new(Block, (body[0].pc, body[-1].pc, body, terminator)))
-    return tuple(blocks), frozenset(unreached)
+
+def partition_blocks(program: Program) -> tuple[tuple[Block, ...], frozenset[int]]:
+    """Split a program into blocks plus the set of unreached pcs."""
+    unreached: list[int] = []
+    blocks = tuple(scan_blocks(program, unreached))
+    return blocks, frozenset(unreached)

@@ -1,8 +1,9 @@
 """Command line front end.
 
-Reads bytecode as hex, runs the pipeline (decode, partition, solve, build
-graph), and writes the requested artifacts. With --check it also runs the
-executable-semantics checkers and reports a verdict.
+Reads bytecode as hex, runs the pipeline (decode, solve over the basic
+blocks it scans as it reaches them, build graph), and writes the requested
+artifacts. With --check it also runs the executable-semantics checkers and
+reports a verdict.
 
 Exit codes: 0 on success, 1 for analysis errors (bad input, unresolved
 jumps, an exceeded solver budget) with a JSON report on stderr, 2 when a

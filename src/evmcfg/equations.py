@@ -37,6 +37,13 @@ by one run_stack call (none for an empty interior); its member at the last
 instruction goes straight to block_exits, each of whose results is kept as
 one Move. An arity error names its pc and the entry context, as transfer's.
 
+The worklist solver finds block bodies as it enters them: it pulls blocks
+from scan_blocks, in pc order, only until the popped start is among them.
+An input that fails in the solve therefore never scans the code after the
+failing block. A solve that succeeds scans the rest, so the system's
+blocks and unreached hold the whole partition. The naive solver partitions
+the whole program up front.
+
 The worklist solver stores states only at block starts.
 EquationSystem.state_at derives every later pc of a block on first
 request, by transfer from the block start, and keeps it. The naive solver
@@ -65,9 +72,9 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, field
 from types import MappingProxyType
-from typing import Callable, Mapping, NamedTuple
+from typing import Callable, Iterator, Mapping, NamedTuple
 
-from .blocks import Block, partition_blocks
+from .blocks import Block, partition_blocks, scan_blocks
 from .bytecode import Instruction, JUMPI_BYTE, Program
 from .domain import EMPTY_STACK, AbstractState, StackState, bottom, idmap, join, leq
 from .errors import (
@@ -265,27 +272,40 @@ def contributions(
 
 def _solve_worklist(
     program: Program,
-    blocks: tuple[Block, ...],
+    scan: Iterator[Block],
     states: dict[int, AbstractState],
     stats: SolveStats,
     moves: list[Move],
     record: bool,
     trace: Callable[[str], None] | None,
-) -> None:
+) -> dict[int, Block]:
+    """Solve from the initial state, pulling blocks from scan as the pops
+    reach them; returns the blocks found, by start pc, in pc order."""
     jumpdests = program.jumpdests
-    by_start = {b.start_pc: (b.body[:-1], b.body[-1]) for b in blocks}
-    # (block start, entry context) pairs not yet moved through their block.
-    pending = deque((0, key) for key in states[0])
+    found: dict[int, Block] = {}
+    # (block start, entry context) pairs not yet moved through their block;
+    # the initial state at pc 0 holds the empty stack alone.
+    pending = deque([(0, EMPTY_STACK)])
     work = 0
     while pending:
         start, key = pending.popleft()
         stats.pops += 1
-        interior, last = by_start[start]
+        block = found.get(start)
+        # Every pushed start is a block start: pc 0, a jump target (which
+        # block_exits checks is a JUMPDEST) or a fall-through pc (the pc
+        # after a JUMPI, or a JUMPDEST). scan yields every block start in pc
+        # order, so pulling until start is found reaches it.
+        while block is None:
+            pulled = next(scan)
+            found[pulled.start_pc] = pulled
+            if pulled.start_pc == start:
+                block = pulled
+        body = block.body
         try:
-            end = run_stack(interior, key, jumpdests)[1] if interior else key
+            end = run_stack(body[:-1], key, jumpdests)[1] if len(body) > 1 else key
         except StackArityError as err:
             raise with_entry_context(err, key) from None
-        for kind, target, landed in block_exits(program, last, key, end):
+        for kind, target, landed in block_exits(program, body[-1], key, end):
             moves.append((start, key, kind, target, landed))
             held = states.setdefault(target, {})
             if landed in held:
@@ -309,6 +329,7 @@ def _solve_worklist(
                 )
             pending.append((target, landed))
     stats.iterations = stats.pops
+    return found
 
 
 def _solve_naive(
@@ -360,13 +381,19 @@ def solve(
     if mode not in ("worklist", "naive"):
         raise ValueError(f"unknown solver mode {mode!r}")
 
-    blocks, unreached = partition_blocks(program)
     stats = SolveStats(mode=mode)
     if mode == "worklist":
         states = {0: initial_state()}
         moves: list[Move] = []
-        _solve_worklist(program, blocks, states, stats, moves, record, trace)
+        unreached_pcs: list[int] = []
+        scan = scan_blocks(program, unreached_pcs)
+        found = _solve_worklist(program, scan, states, stats, moves, record, trace)
+        # Solved: the blocks after the last one pulled and the pcs
+        # between them complete the partition.
+        blocks = (*found.values(), *scan)
+        unreached = frozenset(unreached_pcs)
     else:
+        blocks, unreached = partition_blocks(program)
         states = {ins.pc: bottom() for ins in program.instructions}
         states[0] = initial_state()
         if record:

@@ -335,7 +335,7 @@ def enumerate_states(program: Program, max_steps: int = DEFAULT_MAX_STEPS) -> Tr
             runs[entry] = Run(tuple(run), None)
             runs.update((rest, Run((rest,), None)) for rest in queue)
             return tuple.__new__(TraceSet, (runs, True, _coverage(runs, True)))
-        runs[entry] = Run(tuple(run), successors)
+        runs[entry] = tuple.__new__(Run, (tuple(run), successors))
         for target in successors:
             if parents.setdefault(target, entry) is entry:  # first reached
                 queue.append(target)

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from evmcfg import Instruction, Program, decode_bytecode, partition_blocks
+from evmcfg import Instruction, Program, decode_bytecode, partition_blocks, solve
 from evmcfg.blocks import Block, Terminator
 from evmcfg.bytecode import (
     _NON_HEX,
@@ -18,7 +18,7 @@ from evmcfg.bytecode import (
     JUMP_BYTE,
     _clean_hex,
 )
-from evmcfg.errors import DecodeError
+from evmcfg.errors import AnalysisError, DecodeError
 
 from conftest import (
     BRANCH_HEX,
@@ -306,3 +306,41 @@ def test_front_end_matches_reference_on_generated_programs():
     rng = random.Random(0xB10C)
     for _ in range(200):
         assert_front_end_matches_reference(generated_hex(rng.getrandbits(32)))
+
+
+# ------------------------------------------- the solver's on-demand scan
+
+# The worklist solver pulls blocks from scan_blocks only as far as it
+# enters them, then finishes the scan once it has solved; the naive solver
+# partitions up front. Either way a solved system holds the whole partition.
+
+def assert_solved_partition_is_whole(hex_text: str) -> None:
+    program = decode_bytecode(hex_text)
+    blocks, unreached = partition_blocks(program)
+    expected_blocks, expected_unreached = reference_partition_blocks(program)
+    expected = [tuple(b) for b in expected_blocks]
+    assert [tuple(b) for b in blocks] == expected
+    assert unreached == expected_unreached
+    try:
+        worklist = solve(program)
+    except AnalysisError:
+        return  # the naive solver has no budget: run it only where this solved
+    for system in (worklist, solve(program, mode="naive")):
+        assert [tuple(b) for b in system.blocks] == expected
+        assert all(type(b) is Block for b in system.blocks)
+        starts = [b.start_pc for b in system.blocks]
+        assert starts == sorted(starts)
+        assert system.unreached == expected_unreached
+
+
+@settings(max_examples=300)
+@given(front_end_bytes())
+def test_solved_partition_is_whole_on_biased_bytes(raw: bytes):
+    assert_solved_partition_is_whole(raw.hex())
+
+
+def test_solved_partition_is_whole_on_generated_and_fuzz_inputs():
+    rng = random.Random(0x5CA7)
+    inputs = [generated_hex(rng.getrandbits(32)) for _ in range(200)]
+    for hex_text in inputs + fuzz_inputs(1, 1000):
+        assert_solved_partition_is_whole(hex_text)

@@ -3,12 +3,26 @@
 from __future__ import annotations
 
 import itertools
+import json
 import sys
 
-from evmcfg import Analysis, GeneratorShape, Verdict, analyze, generate_program
+from hypothesis import given, settings
+
+from evmcfg import (
+    Analysis,
+    GeneratorShape,
+    Verdict,
+    analyze,
+    build_cfg,
+    decode_bytecode,
+    export_json,
+    generate_program,
+    solve,
+)
+from evmcfg.errors import AnalysisError, StackArityError
 from evmcfg.oracle import Coverage
 
-from conftest import BRANCH_HEX, LINEAR_HEX, SHARED_HEX
+from conftest import BRANCH_HEX, LINEAR_HEX, SHARED_HEX, front_end_bytes
 
 STATUSES = ("pass", "inconclusive", "fail")
 
@@ -62,11 +76,73 @@ def python_calls(hex_text: str) -> int:
 def test_analysis_fixed_cost_stays_low():
     # On tiny programs each analysis's fixed cost outweighs its fixpoint, so
     # count the Python-level calls one checked analyze makes. The bounds are
-    # the counts on Python 3.11, after the result records became NamedTuples
-    # built by tuple.__new__ and the start state was built once (77/91/141
-    # before). They are upper bounds: Python 3.12 and later inline
-    # comprehensions, whose calls then go uncounted.
-    bounds = {LINEAR_HEX: 59, BRANCH_HEX: 73, SHARED_HEX: 123}
+    # the counts on Python 3.11, after the worklist began pulling blocks
+    # from the scan as it enters them and the closure built each run by
+    # tuple.__new__ (59/73/123 before; 77/91/141 before the result records
+    # became NamedTuples). They are upper bounds: Python 3.12 and later
+    # inline comprehensions, whose calls then go uncounted.
+    bounds = {LINEAR_HEX: 56, BRANCH_HEX: 70, SHARED_HEX: 119}
     for hex_text, bound in bounds.items():
         analyze(hex_text)  # nothing left to set up on first use
         assert python_calls(hex_text) <= bound
+
+
+def python_steps(run) -> int:
+    """Python-level calls, generator resumptions included, plus the lines
+    and returns they run, in one call of run. A loop inside one frame makes
+    no calls, but its lines show."""
+    steps = 0
+
+    def count(frame, event, arg):
+        nonlocal steps
+        steps += 1
+        return count
+
+    sys.settrace(count)
+    try:
+        run()
+    finally:
+        sys.settrace(None)
+    return steps
+
+
+def test_failing_solve_cost_does_not_grow_with_the_code_after_it():
+    # ADD at pc 0 underflows in the first block, so the JUMPDESTs after it
+    # are never scanned, however many there are.
+    def steps_to_fail(n: int) -> int:
+        program = decode_bytecode("01" + "5b" * n)
+        errors = []
+
+        def run():
+            try:
+                solve(program)
+            except AnalysisError as err:
+                errors.append(err)
+
+        run()  # nothing left to set up on first use
+        steps = python_steps(run)
+        assert [(type(e), e.pc) for e in errors] == [(StackArityError, 0)] * 2
+        return steps
+
+    assert steps_to_fail(10) == steps_to_fail(10_000)
+
+
+def test_solved_system_lists_every_block_after_a_halt():
+    # STOP at pc 0 enters no other block, yet the finished scan lists them.
+    n = 10_000
+    system = solve(decode_bytecode("00" + "5b" * n))
+    assert len(system.blocks) == n + 1
+    document = json.loads(export_json(build_cfg(system), system))
+    assert [b["start"] for b in document["blocks"]] == list(range(n + 1))
+
+
+@settings(max_examples=300, deadline=None)
+@given(front_end_bytes())
+def test_random_bytes_end_in_an_analysis_or_a_typed_error(raw: bytes):
+    # Nothing but an AnalysisError escapes: no StopIteration from the block
+    # scan, no KeyError from a lookup.
+    try:
+        result = analyze(raw.hex())
+    except AnalysisError:
+        return
+    assert type(result) is Analysis
