@@ -6,23 +6,28 @@ slots hold untracked values.
 JUMPI explores both branches, so the reachable state set over-approximates
 any single run. enumerate_states closes it breadth-first, loops included,
 over entry states: the initial state and the target of each crossing, a
-step from a jump or onto a JUMPDEST, told by step's result and not read
-from the system's blocks. Each entry runs straight through its block, and
-the closure keeps the run's states and its crossings. Each interior
-instruction, one falling through to an instruction other than a JUMPDEST,
-takes only its stack effect, which step shares; the run's last goes
-through step, whose successors are the crossings. A run stands for one
-replica, its entry's block and stack; two entries can reach one state (a
-JUMPDEST POP entered with two different targets), each in its own run.
+step from a jump or onto a JUMPDEST, told by the stepper's own rules and
+not read from the system's blocks. Each entry's run is one fold through its
+block, in one frame, with the height and tracked tuple kept in locals: each
+interior instruction, one falling through to an instruction other than a
+JUMPDEST, adds a state, and the run's last (a jump, a halt, the end of the
+code or a fall into a JUMPDEST) gives the crossings. step is the fold's
+one-instruction case, so the concrete stack effect is written once. A run
+stands for one replica, its entry's block and stack; two entries can reach
+one state (a JUMPDEST POP entered with two different targets), each in its
+own run.
 
   * check_jumps_to: the initial stack and each crossing's target must be an
-    entry context at its block start, and each run, walked beside its equally
-    long block, must be covered by its context's member at every pc: the
-    stored one, else update_stack of the member before. Both solvers give
-    each context one member at every pc, which is stepped and compared
-    alone; a stored state whose context holds several is walked as a set.
-    Where only block starts are stored, run_stack folds a lone member along
-    the run while the two are equal; the walk goes on from the first change.
+    entry context among the block-start states the system stores, and each
+    run, walked beside its equally long block, must be covered by its
+    context's member at every pc: the stored one, else update_stack of the
+    member before. Both solvers give each context one member at every pc,
+    which is stepped and compared alone; a stored state whose context holds
+    several is walked as a set. Where only block starts are stored,
+    run_stack folds a lone member along the run while the two are equal;
+    the walk goes on from the first change, and is skipped where the fold
+    matched the whole run. The checker reads the system and never adds to
+    it.
   * check_walk: each crossing must follow a graph edge from its run's
     replica to its target's, and the initial state must be the entry
     vertex. The paper's soundness claim is exactly this: every execution is
@@ -43,10 +48,11 @@ from __future__ import annotations
 
 import itertools
 import random
+from bisect import bisect_left
 from collections import deque
 from typing import Collection, Mapping, NamedTuple
 
-from .bytecode import OPCODES, JUMPI_BYTE, Instruction, Program, decode_bytecode
+from .bytecode import OPCODES, JUMPI_BYTE, Program, decode_bytecode
 from .cfg import Cfg
 from .domain import EMPTY_STACK, MAX_STACK, StackState
 from .equations import EquationSystem
@@ -159,18 +165,11 @@ class Verdict(NamedTuple):
         }
 
 
-def _first_at_or_above(sigma: tuple, pos: int) -> int:
-    """Index of the lowest tracked slot at position pos or higher."""
-    i = len(sigma)
-    while i and sigma[i - 1][0] >= pos:
-        i -= 1
-    return i
-
-
 def step(
     program: Program, state: ConcreteState, stacks: dict | None = None
 ) -> tuple[ConcreteState, ...]:
-    """Successor states of one concrete state, sorted canonically.
+    """Successor states of one concrete state, sorted canonically: the run
+    fold's one-instruction case.
 
     Halting instructions, even on too short a stack, and running off the
     end of the code produce no successors. Jumps with an untracked target
@@ -178,94 +177,108 @@ def step(
     InvalidJumpError. Passing one stacks dict to every step of a closure
     builds each distinct stack once and shares it.
     """
-    stacks = {} if stacks is None else stacks
-    instr = program.instruction_at(state.pc)
-    spec = instr.spec
-    if spec.halts:
-        return ()
+    run = [state]
+    crossings = _fold(program, run, {} if stacks is None else stacks, 1)
+    return (run[1],) if crossings is None else crossings
 
-    # The tracked slots, bottom first, so a tracked top slot comes last.
-    n, sigma = state.stack
-    if spec.is_jump and (not sigma or sigma[-1][0] != n - 1):
-        raise StuckStateError(
-            f"{spec.mnemonic} at pc 0x{instr.pc:x} pops an untracked"
-            f" jump target (stack height {n})",
-            pc=instr.pc,
-        )
-    moved = _moved(instr, state.stack, program.jumpdests, stacks)
-    next_pc = instr.next_pc
-    falls = program.has_instruction(next_pc)
 
-    if spec.is_jump:  # pops its operands and pushes nothing
-        successors = set()
-        for dest in sigma[-1][1]:
-            if dest not in program.jumpdests:
-                raise InvalidJumpError(
-                    f"jump at pc 0x{instr.pc:x} lands on 0x{dest:x}, which"
-                    f" is not a JUMPDEST",
+def _fold(
+    program: Program, run: list[ConcreteState], stacks: dict, limit: int
+) -> tuple[ConcreteState, ...] | None:
+    """Run the block from run's last state on, appending each later state to
+    run: the crossings, or None once limit states are appended.
+
+    An instruction falling through to one other than a JUMPDEST appends its
+    successor; any other ends the run, and its successors are the crossings.
+    A PUSH of a JUMPDEST pc tracks it, DUP copies a tracked slot and SWAP
+    moves two; every other instruction, a jump too, only consumes. The
+    height and tracked tuple stay locals, and each changed stack is shared
+    through stacks. Raises at the first instruction that fails.
+    """
+    instruction_at, jumpdests = program._by_pc.get, program.jumpdests
+    pc, stack = run[-1]
+    n, sigma = stack
+    instr = instruction_at(pc) or program.instruction_at(pc)  # KeyError off the code
+    while True:
+        spec = instr.spec
+        if spec.halts:
+            return ()
+        delta, before = spec.delta, sigma
+        if spec.is_jump:  # its target is the tracked top slot
+            if not sigma or sigma[-1][0] != n - 1:
+                raise StuckStateError(
+                    f"{spec.mnemonic} at pc 0x{instr.pc:x} pops an untracked"
+                    f" jump target (stack height {n})",
                     pc=instr.pc,
                 )
-            successors.add(ConcreteState(dest, moved))
-        if spec.byte_value == JUMPI_BYTE and falls:
-            successors.add(ConcreteState(next_pc, moved))
-        return tuple(sorted(successors))
-    if not falls:
-        return ()
-    return (tuple.__new__(ConcreteState, (next_pc, moved)),)
-
-
-def _moved(
-    instr: Instruction, stack: StackState, jumpdests: frozenset[int], stacks: dict
-) -> StackState:
-    """stack after instr's stack effect, shared through stacks.
-
-    A PUSH of a JUMPDEST pc tracks it, DUP copies a tracked slot and SWAP
-    moves two; every other instruction, a jump too, only consumes. Raises
-    StackArityError on an underflow or an overflow.
-    """
-    spec = instr.spec
-    n, sigma = stack
-    if n < spec.delta:
-        raise StackArityError(
-            f"{spec.mnemonic} at pc 0x{instr.pc:x} needs {spec.delta} stack"
-            f" items, found {n}",
-            pc=instr.pc,
-        )
-    n_out = n - spec.delta + spec.alpha
-    if n_out > MAX_STACK:
-        raise StackArityError(
-            f"{spec.mnemonic} at pc 0x{instr.pc:x} overflows the stack",
-            pc=instr.pc,
-        )
-
-    if spec.is_push:
-        value = instr.push_value()
-        if value in jumpdests:
-            sigma += ((n, (value,)),)
-    elif spec.is_dup:
-        source = n - (spec.byte_value - 0x7F)
-        i = _first_at_or_above(sigma, source)
-        if i < len(sigma) and sigma[i][0] == source:
-            sigma += ((n, sigma[i][1]),)
-    elif spec.is_swap:
-        top, low = n - 1, n - (spec.byte_value - 0x8F) - 1
-        lo, hi = _first_at_or_above(sigma, low), _first_at_or_above(sigma, top)
-        mid = lo + (lo < hi and sigma[lo][0] == low)  # past a tracked low slot
-        sigma = (
-            sigma[:lo] + tuple((low, dests) for _, dests in sigma[hi:])
-            + sigma[mid:hi] + tuple((top, dests) for _, dests in sigma[lo:mid])
-        )
-    elif spec.delta or spec.alpha:
-        sigma = sigma[: _first_at_or_above(sigma, n - spec.delta)]
-    else:  # JUMPDEST: the stack is unchanged
-        return stack
-    # Looked up by its plain tuple, so each distinct stack is built once.
-    # The height is checked above and sigma stays sorted as built, so the
-    # stack skips StackState's check, as update_stack's result does.
-    shared = stacks.get((n_out, sigma))
-    if shared is None:
-        shared = stacks[shared] = tuple.__new__(StackState, (n_out, sigma))
-    return shared
+            targets = sigma[-1][1]
+        if n < delta:
+            raise StackArityError(
+                f"{spec.mnemonic} at pc 0x{instr.pc:x} needs {delta} stack"
+                f" items, found {n}",
+                pc=instr.pc,
+            )
+        n_out = n - delta + spec.alpha
+        if n_out > MAX_STACK:
+            raise StackArityError(
+                f"{spec.mnemonic} at pc 0x{instr.pc:x} overflows the stack",
+                pc=instr.pc,
+            )
+        if spec.is_push:
+            value = instr.immediate or 0  # PUSH0 has no immediate
+            if value in jumpdests:
+                sigma += ((n, (value,)),)
+        elif spec.is_dup:
+            source = n - (spec.byte_value - 0x7F)
+            i = bisect_left(sigma, (source,))
+            if i < len(sigma) and sigma[i][0] == source:
+                sigma += ((n, sigma[i][1]),)
+        elif spec.is_swap:
+            top, low = n - 1, n - (spec.byte_value - 0x8F) - 1
+            lo, hi = bisect_left(sigma, (low,)), bisect_left(sigma, (top,))
+            mid = lo + (lo < hi and sigma[lo][0] == low)  # past a tracked low slot
+            if mid > lo or hi < len(sigma):  # a tracked slot moves
+                down = ((low, sigma[hi][1]),) if hi < len(sigma) else ()
+                up = ((top, sigma[lo][1]),) if mid > lo else ()
+                sigma = sigma[:lo] + down + sigma[mid:hi] + up
+        elif sigma and sigma[-1][0] >= n - delta:
+            sigma = sigma[: bisect_left(sigma, (n - delta,))]
+        if n_out != n or sigma is not before:
+            # Looked up by its plain tuple, so each distinct stack is built
+            # once. The height is checked above and sigma stays sorted as
+            # built, so the stack skips StackState's check. The fold goes on
+            # from the shared stack's own slots, so later equal stacks share
+            # theirs and compare by identity.
+            stack = stacks.get((n_out, sigma))
+            if stack is None:
+                stack = stacks[stack] = tuple.__new__(StackState, (n_out, sigma))
+            n, sigma = stack
+        pc = instr.pc + 1 + spec.immediate_len
+        if spec.is_jump:  # popped its operands and pushes nothing
+            successors = []  # in pc order, as the tracked targets are
+            for dest in targets:
+                if dest not in jumpdests:
+                    raise InvalidJumpError(
+                        f"jump at pc 0x{instr.pc:x} lands on 0x{dest:x}, which"
+                        f" is not a JUMPDEST",
+                        pc=instr.pc,
+                    )
+                successors.append(tuple.__new__(ConcreteState, (dest, stack)))
+            falls = spec.byte_value == JUMPI_BYTE and pc in program._by_pc
+            if falls and pc not in targets:
+                successors.append(tuple.__new__(ConcreteState, (pc, stack)))
+                successors.sort()
+            return tuple(successors)
+        instr = instruction_at(pc)
+        if instr is None:
+            return ()
+        state = tuple.__new__(ConcreteState, (pc, stack))
+        if pc in jumpdests:
+            return (state,)
+        run.append(state)
+        limit -= 1
+        if not limit:
+            return None
 
 
 _START = ConcreteState(0, EMPTY_STACK)
@@ -287,11 +300,11 @@ def _coverage(runs: Mapping[ConcreteState, Run], truncated: bool) -> Coverage:
 def enumerate_states(program: Program, max_steps: int = DEFAULT_MAX_STEPS) -> TraceSet:
     """Breadth-first closure of the entries reachable from the start.
 
-    Runs each entry through its block: the interior by its stack effect, the
-    last instruction by step. max_steps bounds the transitions, counted step
-    by step; truncated says that it cut the closure. A step error propagates
-    with a partial_trace attribute for diagnosis: the runs of first-found
-    entries from the start to the failing state.
+    Folds each entry's run through its block with one _fold call. max_steps
+    bounds the transitions, counted step by step; truncated says that it cut
+    the closure. A step error propagates with a partial_trace attribute for
+    diagnosis: the runs of first-found entries from the start to the failing
+    state.
     """
     if not program.instructions:
         raise AnalysisError("program has no instructions")
@@ -301,28 +314,14 @@ def enumerate_states(program: Program, max_steps: int = DEFAULT_MAX_STEPS) -> Tr
     stacks = {start.stack: start.stack}
     queue = deque([start])
     steps = 0
-    instruction_at, jumpdests = program._by_pc.get, program.jumpdests
 
     while queue:
-        entry = state = queue.popleft()
-        run = [state]
-        instr = instruction_at(state.pc)
+        entry = queue.popleft()
+        run = [entry]
         try:
-            while True:
-                spec = instr.spec
-                pc = instr.pc + 1 + spec.immediate_len
-                following = instruction_at(pc)
-                if following is None or spec.halts or spec.is_jump or pc in jumpdests:
-                    successors = step(program, state, stacks)
-                    steps += len(successors)
-                    break
-                stack = _moved(instr, state.stack, jumpdests, stacks)
-                steps += 1
-                if steps > max_steps:
-                    break
-                state = tuple.__new__(ConcreteState, (pc, stack))
-                run.append(state)
-                instr = following
+            # One state past the steps left: the step past max_steps still
+            # runs, so its error is raised, and its state is dropped below.
+            crossings = _fold(program, run, stacks, max_steps - steps + 1)
         except AnalysisError as err:
             runs[entry] = Run(tuple(run), None)
             chain = []
@@ -331,12 +330,15 @@ def enumerate_states(program: Program, max_steps: int = DEFAULT_MAX_STEPS) -> Tr
                 entry = parents[entry]
             err.partial_trace = tuple(itertools.chain.from_iterable(reversed(chain)))
             raise
+        steps += len(run) - 1 + len(crossings or ())
         if steps > max_steps:
+            if crossings is None:
+                run.pop()  # the state past the last step allowed
             runs[entry] = Run(tuple(run), None)
             runs.update((rest, Run((rest,), None)) for rest in queue)
             return tuple.__new__(TraceSet, (runs, True, _coverage(runs, True)))
-        runs[entry] = tuple.__new__(Run, (tuple(run), successors))
-        for target in successors:
+        runs[entry] = tuple.__new__(Run, (tuple(run), crossings))
+        for target in crossings:
             if parents.setdefault(target, entry) is entry:  # first reached
                 queue.append(target)
 
@@ -386,8 +388,9 @@ def check_jumps_to(
     stored, jumpdests = system.states, program.jumpdests
     folds = stored.keys() <= bodies.keys()  # no interior state stored
     violations: list[Violation] = []
+    # Block-start contexts are read as stored: a missing entry holds none.
     start = _START
-    if not _covered(start.stack, system.state_at(0).get(start.stack, frozenset())):
+    if not _covered(start.stack, (stored.get(0) or {}).get(start.stack, ())):
         violations.append(_uncovered(None, start, start))
     for entry, (states, crossings) in traces.runs.items():
         body = bodies.get(entry.pc, ())  # a block is never empty
@@ -413,29 +416,30 @@ def check_jumps_to(
                     k, member = run_stack(body[:-1], member, jumpdests, stacks)
                     if k < len(stacks) and not _stack_covered(stacks[k], member):
                         violations.append(_uncovered(states[k], states[k + 1], entry))
-                for prev, ins, source, state in zip(
-                    body[k + 1 :], body[k + 2 :], states[k + 1 :], states[k + 2 :]
-                ):
-                    here = stored.get(ins.pc)
-                    if here is not None:
-                        members = here.get(key, ())
-                        member = next(iter(members)) if len(members) == 1 else None
-                    elif member is not None:
-                        member = update_stack(prev, member, jumpdests)
-                    else:
-                        members = [update_stack(prev, m, jumpdests) for m in members]
-                    stack = state.stack
-                    if member is not None:
-                        covered = stack == member or _stack_covered(stack, member)
-                    else:
-                        covered = _covered(stack, members)
-                    if not covered:
-                        violations.append(_uncovered(source, state, entry))
+                if k + 2 < len(states):  # else the fold reached the run's end
+                    for prev, ins, source, state in zip(
+                        body[k + 1 :], body[k + 2 :], states[k + 1 :], states[k + 2 :]
+                    ):
+                        here = stored.get(ins.pc)
+                        if here is not None:
+                            members = here.get(key, ())
+                            member = next(iter(members)) if len(members) == 1 else None
+                        elif member is not None:
+                            member = update_stack(prev, member, jumpdests)
+                        else:
+                            members = [update_stack(prev, m, jumpdests) for m in members]
+                        stack = state.stack
+                        if member is not None:
+                            covered = stack == member or _stack_covered(stack, member)
+                        else:
+                            covered = _covered(stack, members)
+                        if not covered:
+                            violations.append(_uncovered(source, state, entry))
             except StackArityError as err:
                 raise with_entry_context(err, key) from None
         # A block-start stack is its own entry context, whose member covers it.
         for target in crossings:
-            members = system.state_at(target.pc).get(target.stack, frozenset())
+            members = (stored.get(target.pc) or {}).get(target.stack, ())
             if not _covered(target.stack, members):
                 violations.append(_uncovered(states[-1], target, target))
     status = "pass" if not violations else "fail"

@@ -49,6 +49,7 @@ from evmcfg.oracle import (
     GeneratorShape,
     Verdict,
     Violation,
+    _fold,
     _stack_covered,
     initial_concrete_state,
 )
@@ -248,6 +249,75 @@ def test_step_matches_the_old_stepper(stack, tail, value):
         assert step_outcome(step, program, state) == step_outcome(
             old_step, program, state
         )
+
+
+def stepped_run(program, entry):
+    """The run from entry by old_step, one instruction at a time: its states
+    and its crossings, or its states and the outcome of its first error."""
+    states = [entry]
+    while True:
+        try:
+            successors = old_step(program, states[-1])
+        except AnalysisError as err:
+            return states, (type(err), err.pc, err.message)
+        spec = program.instruction_at(states[-1].pc).spec
+        if spec.is_jump or len(successors) != 1 or successors[0].pc in program.jumpdests:
+            return states, successors
+        states.append(successors[0])
+
+
+def folded_run(program, entry, limit):
+    """_fold's run from entry and its crossings, or the outcome of its error."""
+    run = [entry]
+    try:
+        return run, _fold(program, run, {}, limit)
+    except AnalysisError as err:
+        return run, (type(err), err.pc, err.message)
+
+
+@st.composite
+def fold_programs(draw) -> str:
+    """A JUMPDEST at pc 0, a straight line of PUSH1-PUSH32, DUP1-DUP16,
+    SWAP1-SWAP16 and a few other stack effects, maybe an instruction that
+    ends the run, and a trailing PUSH cut short by the end of the code."""
+    code = bytearray(b"\x5b")
+    body = st.one_of(
+        st.integers(0x60, 0x9F), st.sampled_from((0x01, 0x15, 0x36, 0x50, 0x52))
+    )
+    for byte in draw(st.lists(body, max_size=24)):
+        code.append(byte)
+        if 0x60 <= byte <= 0x7F:  # a PUSH: 0 lands on the JUMPDEST, 1 and 2 do not
+            width = byte - 0x5F
+            value = draw(st.one_of(st.integers(0, 2), st.integers(0, 2**256 - 1)))
+            code += (value % 256**width).to_bytes(width, "big")
+    code += draw(st.sampled_from((b"", b"\x5b", b"\x56", b"\x57", b"\x00", b"\xf3")))
+    width = draw(st.integers(1, 32))
+    code.append(0x5F + width)
+    code += draw(st.binary(max_size=width - 1))
+    return code.hex()
+
+
+@given(
+    kernel_stacks(st.frozensets(st.integers(0, 2), min_size=1, max_size=2)),
+    fold_programs(),
+    st.integers(1, 40),
+)
+@settings(max_examples=300)
+def test_fold_matches_the_old_stepper(stack, code, limit):
+    # From an entry near an empty or a full stack, the fold gives the run
+    # that old_step gives one instruction at a time: the same states, the
+    # same crossings and the same first error. Cut at limit states, it
+    # stops there, before the next instruction's error.
+    program = decode_bytecode(code)
+    entry = ConcreteState(0, stack)
+    states, end = stepped_run(program, entry)
+    assert folded_run(program, entry, 10**6) == (states, end)
+    if len(states) > limit:
+        states, end = states[: limit + 1], None
+    run, got = folded_run(program, entry, limit)
+    assert (run, got) == (states, end)
+    for state in run + [s for s in got or () if isinstance(s, ConcreteState)]:
+        assert StackState(*state.stack) == state.stack  # built unchecked
 
 
 # -------------------------------------------------------------- enumeration
@@ -621,6 +691,24 @@ def test_dropped_initial_context_is_caught(linear):
     assert verdict.status == "fail"
     assert verdict.violations[0].kind == "uncovered_state"
     assert verdict.violations[0].pc == 0
+    assert_matches_reference(linear.program, system, linear.cfg, linear.traces)
+
+
+def test_checking_leaves_the_system_as_it_was(linear):
+    # Forget the block start the jump reaches: its crossing, and the run
+    # from it, have no context there. The checker reads the stored block
+    # starts as they are, so it stores no state of its own, and a second
+    # call walks the same system to the same verdict.
+    system = solve(linear.program)
+    del system.states[3]
+    before = dict(system.states)
+    verdict = check_jumps_to(linear.program, system, linear.traces)
+    assert system.states == before
+    assert [(v.kind, v.pc) for v in verdict.violations] == [
+        ("uncovered_state", 2), ("uncovered_state", 3)
+    ]
+    assert check_jumps_to(linear.program, system, linear.traces) == verdict
+    assert system.states == before
     assert_matches_reference(linear.program, system, linear.cfg, linear.traces)
 
 
