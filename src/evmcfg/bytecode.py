@@ -40,13 +40,19 @@ class OpSpec:
     is_dup: bool = field(init=False, repr=False, compare=False)
     is_swap: bool = field(init=False, repr=False, compare=False)
     is_jump: bool = field(init=False, repr=False, compare=False)
+    # Instruction.render's text: the mnemonic, or for PUSH1-PUSH32 the
+    # mnemonic and a %-field writing the immediate as 2k zero-padded digits.
+    render_format: str = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         b = self.byte_value
+        k = self.immediate_len
         object.__setattr__(self, "is_push", 0x5F <= b <= 0x7F)
         object.__setattr__(self, "is_dup", 0x80 <= b <= 0x8F)
         object.__setattr__(self, "is_swap", 0x90 <= b <= 0x9F)
         object.__setattr__(self, "is_jump", b in (JUMP_BYTE, JUMPI_BYTE))
+        fmt = f"{self.mnemonic} 0x%0{2 * k}x" if k else self.mnemonic
+        object.__setattr__(self, "render_format", fmt)
 
 
 def _base_table() -> dict[int, OpSpec]:
@@ -182,9 +188,10 @@ class Instruction(NamedTuple):
         return self.immediate if self.immediate is not None else 0
 
     def render(self) -> str:
-        if self.spec.immediate_len:
-            return f"{self.spec.mnemonic} 0x{self.immediate:0{2 * self.spec.immediate_len}x}"
-        return self.spec.mnemonic
+        spec = self.spec
+        if spec.immediate_len:
+            return spec.render_format % self.immediate
+        return spec.render_format
 
 
 # A dataclass: its pc map stays out of eq and hash, so Program hashes.

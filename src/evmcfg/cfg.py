@@ -4,14 +4,16 @@ Each block appears once per entry context that reaches it, so a shared
 snippet entered with different return addresses on the stack becomes
 several graph vertices, one per caller. Replica ids are dense, start at 1,
 and follow the natural order of the entry contexts, which is canonical
-(height first, then the tracked map; EquationSystem.entry_contexts sorts
-them so). That makes ids independent of solver visit order.
+(height first, then the tracked map; build_cfg sorts them so, as
+EquationSystem.entry_contexts does). That makes ids independent of solver
+visit order.
 
 build_cfg numbers the contexts once: Cfg.vertices maps each replica id to
 the entry context it stands for, and both exports read contexts from it.
-The inverse map, (block, context) to id, lives only in build_cfg, which
-wires the edges with it. It reads only the states stored at block starts,
-so it derives no state.
+The inverse lives only in build_cfg, which wires the edges with it: one
+dict per entered block start, from each context stored there to its id, so
+each end of a move is two plain lookups. It reads only the states stored at
+block starts, so it derives no state.
 
 Jump edges connect a block ending in JUMP or JUMPI to the replicas of the
 destinations tracked on top of the stack. Next edges cover the fall-through
@@ -26,9 +28,11 @@ as text for its fixed schema. The bytes equal those of
 json.dumps(document, sort_keys=True, indent=2) plus a newline, without the
 pure-Python encoder that any indent selects. Each part of the layout is an
 f-string literal, compiled once with the module, and an entry context that
-tracks no slot is written as {} without building its map. ReplicaId is a
-NamedTuple, so the exports sort vertices and edges with plain tuple
-comparison.
+tracks no slot is written as {} without building its map. Both exports
+sort edges as flat (block, id, block, id) int tuples (adding two ReplicaIds
+gives one), the order of sorted ReplicaId pairs at less cost. export_json
+looks each sorted vertex's context up, with no (id, context) pair to count
+against the collector's threshold.
 """
 
 from __future__ import annotations
@@ -61,23 +65,27 @@ class Cfg(NamedTuple):
 
 def build_cfg(system: EquationSystem) -> Cfg:
     """Number each block's entry contexts, then wire the solver's moves."""
-    # Both solvers store the state at every block start they enter. A block
-    # whose start holds none was never entered: it has no replicas.
-    entered = [block for block in system.blocks if system.states.get(block.start_pc)]
     new = tuple.__new__
-    vertices = {
-        new(ReplicaId, (block.start_pc, i)): s
-        for block in entered
-        for i, s in enumerate(system.entry_contexts(block.start_pc), 1)
-    }
-    ids = {(r.block_start, s): r for r, s in vertices.items()}
+    states = system.states
+    ids: dict[int, dict[StackState, ReplicaId]] = {}
+    vertices: dict[ReplicaId, StackState] = {}
+    for block in system.blocks:
+        start = block.start_pc
+        # Both solvers store the state at every block start they enter. A
+        # block whose start holds none was never entered: it has no replicas.
+        state = states.get(start)
+        if state:
+            ids[start] = numbered = {}
+            for i, s in enumerate(sorted(state), 1):
+                numbered[s] = replica = new(ReplicaId, (start, i))
+                vertices[replica] = s
 
     edges: dict[str, list[tuple[ReplicaId, ReplicaId]]] = {"jump": [], "next": []}
     for start, context, kind, target, landed in system.moves:
-        edges[kind].append((ids[start, context], ids[target, landed]))
+        edges[kind].append((ids[start][context], ids[target][landed]))
 
     jump_edges, next_edges = frozenset(edges["jump"]), frozenset(edges["next"])
-    return new(Cfg, (vertices, jump_edges, next_edges, ids[0, EMPTY_STACK]))
+    return new(Cfg, (vertices, jump_edges, next_edges, ids[0][EMPTY_STACK]))
 
 
 def export_dot(cfg: Cfg, system: EquationSystem) -> str:
@@ -95,11 +103,11 @@ def export_dot(cfg: Cfg, system: EquationSystem) -> str:
     ]
     lines += [
         f"  B_0x{a:02x}_{i} -> B_0x{b:02x}_{j};"
-        for (a, i), (b, j) in sorted(cfg.jump_edges)
+        for a, i, b, j in sorted([x + y for x, y in cfg.jump_edges])
     ]
     lines += [
         f"  B_0x{a:02x}_{i} -> B_0x{b:02x}_{j} [style=dashed];"
-        for (a, i), (b, j) in sorted(cfg.next_edges)
+        for a, i, b, j in sorted([x + y for x, y in cfg.next_edges])
     ]
     lines.append("}\n")
     return "\n".join(lines)
@@ -108,6 +116,7 @@ def export_dot(cfg: Cfg, system: EquationSystem) -> str:
 # The format_version 1 document below is laid out as
 # json.dumps(document, sort_keys=True, indent=2) lays it out.
 _INSTRUCTION_SEP = '",\n        "'
+_DEST_SEP = ",\n            "
 
 
 def _list(items: list[str], indent: str) -> str:
@@ -124,12 +133,15 @@ def _ints(values, indent: str) -> str:
 def _sigma(s: StackState) -> str:
     """The tracked map of an entry context that tracks a slot, opened on a
     vertex's line indented by 8. sort_keys orders the positions as strings:
-    "10" before "2"."""
-    pad = " " * 10
+    "10" before "2". Sorting the slots' texts does so too: they differ
+    first in their distinct positions' digits, or where one position ends
+    in a quote, which sorts before every digit."""
     items = [
-        f'{pad}"{pos}": {_ints(dests, pad)}'
-        for pos, dests in sorted((str(pos), dests) for pos, dests in s.sigma)
+        f'          "{pos}": [\n            {_DEST_SEP.join(map(str, dests))}'
+        "\n          ]"
+        for pos, dests in s.sigma
     ]
+    items.sort()
     return "{\n" + ",\n".join(items) + "\n        }"
 
 
@@ -160,7 +172,8 @@ def export_json(cfg: Cfg, system: EquationSystem) -> str:
       }},
       "id": {i}
     }}"""
-        for (start, i), s in sorted(cfg.vertices.items())
+        for start, i in sorted(cfg.vertices)
+        for s in [cfg.vertices[start, i]]
     ]
     edges = [
         f"""    {{
@@ -175,7 +188,7 @@ def export_json(cfg: Cfg, system: EquationSystem) -> str:
       }}
     }}"""
         for kind, pairs in (("jump", cfg.jump_edges), ("next", cfg.next_edges))
-        for (a, i), (b, j) in sorted(pairs)
+        for a, i, b, j in sorted([x + y for x, y in pairs])
     ]
     return f"""{{
   "blocks": {_list(blocks, "  ")},

@@ -7,7 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from evmcfg import decode_bytecode
-from evmcfg.bytecode import OPCODES
+from evmcfg.bytecode import _SPECS, OPCODES
 from evmcfg.errors import DecodeError
 
 from conftest import BRANCH_HEX, LINEAR_HEX, SHARED_HEX
@@ -162,6 +162,24 @@ def test_render():
     program = decode_bytecode("610954")
     assert program.instructions[0].render() == "PUSH2 0x0954"
     assert decode_bytecode("00").instructions[0].render() == "STOP"
+
+
+def test_render_every_byte_value():
+    # Written out here, apart from OpSpec.render_format: the mnemonic, then
+    # for PUSHk the immediate as 2k hex digits, its bytes zero padded on the
+    # right to width k when the code ends early.
+    for byte, spec in enumerate(_SPECS):
+        k = spec.immediate_len
+        full = bytes((i * 0x35) & 0xFF for i in range(k))  # 00 35 6a 9f d4 09 ...
+        for raw in [full[:cut] for cut in range(k)] + [full]:
+            ins = decode_bytecode(bytes([byte]).hex() + raw.hex()).instructions[0]
+            padded = raw + bytes(k - len(raw))
+            expected = spec.mnemonic + " 0x" + padded.hex() if k else spec.mnemonic
+            assert ins.render() == expected, (byte, raw)
+        if 0x60 <= byte <= 0x7F:
+            assert spec.render_format.count("%") == 1
+        else:
+            assert spec.render_format == spec.mnemonic
 
 
 @given(st.binary(min_size=0, max_size=64))

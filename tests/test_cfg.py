@@ -7,9 +7,13 @@ import json
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from evmcfg import (
+    Cfg,
     ReplicaId,
+    StackState,
     build_cfg,
     cfg_from_json,
     decode_bytecode,
@@ -402,8 +406,8 @@ def test_generated_graph_invariants():
 # ------------------------------------------------------ export byte equality
 
 # The json.dumps-based export_json and the ReplicaId.name-based export_dot
-# that the direct writers replaced, kept verbatim as the references for the
-# writers' bytes.
+# that the direct writers replaced, kept as the references for the writers'
+# bytes; the JSON one also takes its contexts from a graph's vertices.
 
 def _ref_replicas(system):
     return {
@@ -429,7 +433,8 @@ def _ref_edge_to_json(kind, edge):
     }
 
 
-def reference_export_json(cfg, system):
+def reference_export_json(cfg, system, replicas=None):
+    """Contexts come from replicas, or else from the system."""
     program = system.program
     blocks_json = [
         {
@@ -440,7 +445,7 @@ def reference_export_json(cfg, system):
         }
         for b in sorted(system.blocks, key=lambda b: b.start_pc)
     ]
-    replicas = _ref_replicas(system)
+    replicas = _ref_replicas(system) if replicas is None else replicas
     vertices_json = [
         {
             "block": replica.block_start,
@@ -550,6 +555,43 @@ def test_json_writer_matches_json_dumps_on_random_inputs():
             continue
         assert_same_json(system)
         accepted += 1
+
+
+@st.composite
+def wide_contexts(draw) -> StackState:
+    """Up to 12 tracked slots anywhere in a full-height stack. Positions 2
+    and 10 come often: as strings they sort the other way round."""
+    positions = draw(
+        st.lists(
+            st.sampled_from((2, 10)) | st.integers(0, 1023), unique=True, max_size=12
+        )
+    )
+    n = draw(st.integers(max(positions, default=-1) + 1, 1024))
+    dests = st.lists(st.integers(0, 0xFFFF), min_size=1, max_size=3, unique=True)
+    sigma = sorted((pos, tuple(sorted(draw(dests)))) for pos in positions)
+    return StackState(n, tuple(sigma))
+
+
+@st.composite
+def random_graphs(draw, system) -> Cfg:
+    """Replicas with ids 1-12 on the system's blocks, random contexts, and
+    random jump and next edges among them."""
+    starts = st.sampled_from([block.start_pc for block in system.blocks])
+    replica = st.builds(ReplicaId, starts, st.integers(1, 12))
+    replicas = draw(st.lists(replica, min_size=1, unique=True))
+    vertices = {r: draw(wide_contexts()) for r in replicas}
+    ends = st.sampled_from(replicas)
+    edges = st.frozensets(st.tuples(ends, ends))
+    return Cfg(vertices, draw(edges), draw(edges), draw(ends))
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_writers_match_their_references_on_random_graphs(shared, data):
+    system = shared.system
+    cfg = data.draw(random_graphs(system))
+    assert export_json(cfg, system) == reference_export_json(cfg, system, cfg.vertices)
+    assert export_dot(cfg, system) == reference_export_dot(cfg, system)
 
 
 # sha256 of export_json then export_dot of every input below that solve

@@ -76,12 +76,14 @@ def python_calls(hex_text: str) -> int:
 def test_analysis_fixed_cost_stays_low():
     # On tiny programs each analysis's fixed cost outweighs its fixpoint, so
     # count the Python-level calls one checked analyze makes. The bounds are
-    # the counts on Python 3.11, after the closure began folding each run in
-    # one frame (56/70/119 before; 59/73/123 before the worklist pulled
-    # blocks from the scan as it entered them; 77/91/141 before the result
-    # records became NamedTuples). They are upper bounds: Python 3.12 and
-    # later inline comprehensions, whose calls then go uncounted.
-    bounds = {LINEAR_HEX: 44, BRANCH_HEX: 53, SHARED_HEX: 77}
+    # the counts on Python 3.11, after build_cfg began numbering each
+    # block's contexts in one dict read from the solved states (44/53/77
+    # before; 56/70/119 before the closure began folding each run in one
+    # frame; 59/73/123 before the worklist pulled blocks from the scan as it
+    # entered them; 77/91/141 before the result records became
+    # NamedTuples). They are upper bounds: Python 3.12 and later inline
+    # comprehensions, whose calls then go uncounted.
+    bounds = {LINEAR_HEX: 37, BRANCH_HEX: 44, SHARED_HEX: 66}
     for hex_text, bound in bounds.items():
         analyze(hex_text)  # nothing left to set up on first use
         assert python_calls(hex_text) <= bound
@@ -110,18 +112,37 @@ def test_checked_analysis_steps_per_instruction_stay_low():
     # Calls miss work done in a loop inside one frame; the lines it runs do
     # not. Bound the steps of one checked analyze per instruction, on a
     # generated program of 98 and of 1,048 instructions. On Python 3.11
-    # they are 90.86 and 111.54; the bounds add 5 % and stay below the
-    # 101.62 and 125.66 of a closure that steps each interior instruction
-    # through a call. Python 3.12 and later inline comprehensions, so they
-    # count fewer.
+    # they are 89.65 and 110.14; the bounds add 5 %. They were 90.86 and
+    # 111.54 before build_cfg numbered each block's contexts in one dict,
+    # and 101.62 and 125.66 with a closure that stepped each interior
+    # instruction through a call. Python 3.12 and later inline
+    # comprehensions, so they count fewer.
     shapes = {
-        GeneratorShape(): 95,
-        GeneratorShape(branch_count=40, callee_count=8, sites_per_callee=4): 117,
+        GeneratorShape(): 94,
+        GeneratorShape(branch_count=40, callee_count=8, sites_per_callee=4): 115,
     }
     for shape, bound in shapes.items():
         program = generate_program(1, shape)
         analyze(program)  # nothing left to set up on first use
         steps = python_steps(lambda: analyze(program))
+        assert steps <= bound * len(program.instructions)
+
+
+def test_graph_build_steps_per_instruction_stay_low():
+    # build_cfg wires each move with two plain dict lookups and numbers each
+    # block's contexts once, without a call per block. On Python 3.11 its
+    # steps per instruction are 1.72 and 2.14 on the programs above; the
+    # bounds add 5 % and stay below the 2.93 and 3.53 of a build that asked
+    # the system for each block's entry contexts.
+    shapes = {
+        GeneratorShape(): 1.81,
+        GeneratorShape(branch_count=40, callee_count=8, sites_per_callee=4): 2.25,
+    }
+    for shape, bound in shapes.items():
+        program = generate_program(1, shape)
+        system = solve(program)
+        build_cfg(system)  # nothing left to set up on first use
+        steps = python_steps(lambda: build_cfg(system))
         assert steps <= bound * len(program.instructions)
 
 
