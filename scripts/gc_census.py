@@ -5,8 +5,9 @@ Solves one generated program (by default the benchmark's scaled program:
 generator seed 1, 800 branches, 40 callees x 20 sites) and prints:
 
   * the objects gc tracks that the solve added, counted by gc.get_objects()
-    after gc.collect(), and those reachable from the solved system's states
-    and moves, by type;
+    after gc.collect(): the blocks, and the Instructions the block scan
+    builds as it reaches them, are among them; then those reachable from the
+    solved system's states and moves, by type;
   * the collections per analysis, by generation, with the time they took,
     over --repeat runs of decode, solve, build_cfg and both exports.
 """
@@ -71,7 +72,7 @@ def main() -> int:
         f"{len(program.instructions)} instructions,"
         f" {system.solve_stats.pops} replicas, {len(system.moves)} moves"
     )
-    print(f"tracked objects the solve added, blocks included: {added}")
+    print(f"tracked objects the solve added, blocks and instructions included: {added}")
     print(f"tracked objects kept by states and moves: {sum(kept.values())}")
     for name, count in kept.most_common():
         print(f"  {name}: {count}")

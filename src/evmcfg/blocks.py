@@ -7,21 +7,23 @@ that satisfy no start condition and follow a closed block (dead filler
 between a halt and the next JUMPDEST) belong to no block at all and are
 reported separately as unreached.
 
-scan_blocks holds the boundary rules. It walks the instructions once, in pc
-order, and yields each block as the walk closes it, so blocks are scanned
-on demand: the worklist solver pulls them only as far as the blocks it
-enters, and partition_blocks runs the scan to the end. Each block's body is
-sliced out of the program's instruction tuple. A Block is a tuple built
-from that slice, so start_pc and end_pc are the pcs of its first and last
-instruction by construction.
+scan_blocks holds the boundary rules. It walks the code once, in pc order,
+and yields each block as the walk closes it, so blocks are scanned on
+demand: the worklist solver pulls them only as far as the blocks it
+enters, and partition_blocks runs the scan to the end. The scan also builds
+each instruction as it first reaches it, so an input that fails in a block
+neither scans nor decodes the code after it. A Block is a tuple built from
+a slice of the instructions, so start_pc and end_pc are the pcs of its
+first and last instruction by construction.
 """
 
 from __future__ import annotations
 
 import enum
+from itertools import count
 from typing import Iterator, NamedTuple
 
-from .bytecode import Instruction, Program, JUMPDEST_BYTE, JUMPI_BYTE, JUMP_BYTE
+from .bytecode import _SPECS, Instruction, Program, JUMPDEST_BYTE, JUMPI_BYTE, JUMP_BYTE
 
 
 class Terminator(enum.Enum):
@@ -49,19 +51,45 @@ class Block(NamedTuple):
 
 def scan_blocks(program: Program, unreached: list[int]) -> Iterator[Block]:
     """Yield the program's blocks in pc order, in one pass, appending each
-    unreached pc to unreached as the pass goes by it."""
-    instructions = program.instructions
+    unreached pc to unreached as the pass goes by it. Each instruction is
+    built once, by the first scan to reach it, and kept in program.built."""
+    code, code_len, built = program.code, program.code_len, program.built
+    # Every field is well formed by construction, so each tuple is built
+    # without its NamedTuple constructor's frame.
     new = tuple.__new__
+    append = built.append
     first = 0  # index of the open block's first instruction; None when closed
-    for i, ins in enumerate(instructions):
-        spec = ins.spec
+    pc = 0  # of the next instruction
+    known = len(built)  # only a yield lets another scan append to built
+    for i in count():
+        if i < known:
+            ins = built[i]
+            spec = ins.spec
+            pc = ins.pc + 1 + spec.immediate_len
+        elif pc < code_len:
+            spec = _SPECS[code[pc]]
+            width = spec.immediate_len
+            if width:
+                end = pc + 1 + width
+                immediate = int.from_bytes(code[pc + 1 : end], "big")
+                if end > code_len:  # zeros for the missing bytes
+                    immediate <<= 8 * (end - code_len)
+                ins = new(Instruction, (pc, spec, immediate))
+                pc = end
+            else:
+                ins = new(Instruction, (pc, spec, None))
+                pc += 1
+            append(ins)
+        else:
+            break
         byte = spec.byte_value
         if byte == JUMPDEST_BYTE:
             if first is not None and first < i:
-                body = instructions[first:i]
+                body = tuple(built[first:i])
                 yield new(
                     Block, (body[0].pc, body[-1].pc, body, Terminator.FALL_TO_JUMPDEST)
                 )
+                known = len(built)
             first = i
         elif first is None:
             unreached.append(ins.pc)
@@ -69,7 +97,7 @@ def scan_blocks(program: Program, unreached: list[int]) -> Iterator[Block]:
                 first = i + 1
             continue
         if spec.is_jump or spec.halts:
-            body = instructions[first : i + 1]
+            body = tuple(built[first : i + 1])
             if byte == JUMP_BYTE:
                 terminator = Terminator.JUMP
                 first = None
@@ -80,8 +108,9 @@ def scan_blocks(program: Program, unreached: list[int]) -> Iterator[Block]:
                 terminator = Terminator.END
                 first = None
             yield new(Block, (body[0].pc, ins.pc, body, terminator))
-    if first is not None and first < len(instructions):
-        body = instructions[first:]
+            known = len(built)
+    if first is not None and first < len(built):
+        body = tuple(built[first:])
         yield new(Block, (body[0].pc, body[-1].pc, body, Terminator.CODE_END))
 
 

@@ -1,16 +1,19 @@
 """EVM bytecode decoding.
 
-Turns a hex string into a sequence of sized instructions plus the set of
-valid jump landing pcs (the pcs holding a JUMPDEST opcode). Bytes that do
-not correspond to a known opcode decode as halting UNKNOWN instructions.
-A PUSH whose immediate runs past the end of the code is zero padded and
-recorded as a diagnostic rather than rejected.
-"""
+Turns a hex string into a Program: the code, the set of valid jump landing
+pcs (the pcs holding a JUMPDEST opcode) and its sized instructions. Decoding
+walks the bytes once for the landings; each Instruction is built later,
+when a block scan first reaches it, so an input whose analysis fails in a
+block never decodes the code after it. Bytes that do not correspond to a
+known opcode decode as halting UNKNOWN instructions. A PUSH whose immediate
+runs past the end of the code is zero padded and recorded as a diagnostic
+rather than rejected."""
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import NamedTuple
 
 from .errors import DecodeError
@@ -163,6 +166,8 @@ _SPECS: tuple[OpSpec, ...] = tuple(
     OPCODES.get(b) or OpSpec(f"UNKNOWN_{b:02X}", b, 0, 0, halts=True)
     for b in range(256)
 )
+# Each byte value's instruction size: 1, plus the immediate of a PUSH.
+_STEPS = bytes(1 + spec.immediate_len for spec in _SPECS)
 _NON_HEX = re.compile("[^0-9a-fA-F]")
 
 
@@ -194,21 +199,34 @@ class Instruction(NamedTuple):
         return spec.render_format
 
 
-# A dataclass: its pc map stays out of eq and hash, so Program hashes.
+# A dataclass compared and hashed by its code, which fixes every other field.
 @dataclass(frozen=True)
 class Program:
-    """Decoded bytecode: ordered instructions plus jump landing set."""
+    """Decoded bytecode: the code, its jump landing set, and the
+    instructions the block scans built so far (see blocks.scan_blocks).
+    instructions and the pc map behind instruction_at finish the scan on
+    first read, and share those objects."""
 
-    instructions: tuple[Instruction, ...]
-    code_len: int
-    jumpdests: frozenset[int]
-    diagnostics: tuple[str, ...] = ()
-    _by_pc: dict[int, Instruction] = field(init=False, repr=False, compare=False)
+    code: bytes
+    code_len: int = field(compare=False)
+    jumpdests: frozenset[int] = field(compare=False)
+    diagnostics: tuple[str, ...] = field(default=(), compare=False)
+    built: list[Instruction] = field(
+        default_factory=list, init=False, repr=False, compare=False
+    )
 
-    def __post_init__(self):
-        object.__setattr__(
-            self, "_by_pc", {ins.pc: ins for ins in self.instructions}
-        )
+    def __getattr__(self, name: str):
+        if name not in ("instructions", "_by_pc"):
+            raise AttributeError(f"'Program' object has no attribute {name!r}")
+        built = self.built
+        if not built or built[-1].next_pc < self.code_len:
+            from .blocks import partition_blocks  # blocks imports this module
+            partition_blocks(self)
+        instructions = tuple(built)
+        by_pc = dict(zip(map(itemgetter(0), instructions), instructions))
+        object.__setattr__(self, "instructions", instructions)
+        object.__setattr__(self, "_by_pc", by_pc)
+        return by_pc if name == "_by_pc" else instructions
 
     def instruction_at(self, pc: int) -> Instruction:
         try:
@@ -220,13 +238,7 @@ class Program:
         return pc in self._by_pc
 
     def to_bytes(self) -> bytes:
-        out = bytearray()
-        for ins in self.instructions:
-            out.append(ins.spec.byte_value)
-            if ins.spec.immediate_len:
-                out += ins.immediate.to_bytes(ins.spec.immediate_len, "big")
-        # A zero-padded trailing PUSH emits more bytes than the input held.
-        return bytes(out[: self.code_len])
+        return self.code
 
 
 def _clean_hex(hex_text: str) -> str:
@@ -236,12 +248,8 @@ def _clean_hex(hex_text: str) -> str:
     return cleaned
 
 
-def decode_bytecode(hex_text: str) -> Program:
-    """Decode a hex string into a Program.
-
-    Whitespace is ignored and a single leading 0x is allowed. Raises
-    DecodeError naming the first offending digit offset for malformed hex.
-    """
+def _code_of(hex_text: str) -> bytes:
+    """The bytes of hex text that bytes.fromhex rejects, or DecodeError."""
     digits = _clean_hex(hex_text)
     bad = _NON_HEX.search(digits)
     if bad is not None:
@@ -254,41 +262,33 @@ def decode_bytecode(hex_text: str) -> Program:
             f"odd number of hex digits, dangling nibble at offset {len(digits) - 1}",
             offset=len(digits) - 1,
         )
-    code = bytes.fromhex(digits)
-    code_len = len(code)
+    return bytes.fromhex(digits)
 
-    # Every field is well formed by construction, so each Instruction is
-    # built as a plain tuple, without the NamedTuple constructor's frame.
-    new = tuple.__new__
-    instructions: list[Instruction] = []
-    append = instructions.append
-    diagnostics: list[str] = []
+
+def decode_bytecode(hex_text: str) -> Program:
+    """Decode a hex string into a Program.
+
+    Whitespace is ignored and a single leading 0x is allowed. Raises
+    DecodeError naming the first offending digit offset for malformed hex.
+    Builds no instruction: one walk over the bytes finds the jump landings
+    and a PUSH cut short by the end of the code.
+    """
+    try:
+        code = bytes.fromhex(hex_text)
+    except ValueError:  # a 0x prefix, odd whitespace, or a bad digit
+        code = _code_of(hex_text)
+    code_len = len(code)
     jumpdests: list[int] = []
-    pc = 0
+    pc = start = 0
     while pc < code_len:
         byte = code[pc]
-        spec = _SPECS[byte]
-        width = spec.immediate_len
-        if width:
-            end = pc + 1 + width
-            immediate = int.from_bytes(code[pc + 1 : end], "big")
-            if end > code_len:
-                diagnostics.append(
-                    f"{spec.mnemonic} at pc 0x{pc:x} runs past end of code;"
-                    f" immediate zero padded"
-                )
-                immediate <<= 8 * (end - code_len)  # zeros for the missing bytes
-            append(new(Instruction, (pc, spec, immediate)))
-            pc = end
-        else:
-            if byte == JUMPDEST_BYTE:
-                jumpdests.append(pc)
-            append(new(Instruction, (pc, spec, None)))
-            pc += 1
-
-    return Program(
-        instructions=tuple(instructions),
-        code_len=code_len,
-        jumpdests=frozenset(jumpdests),
-        diagnostics=tuple(diagnostics),
-    )
+        if byte == JUMPDEST_BYTE:
+            jumpdests.append(pc)
+        start, pc = pc, pc + _STEPS[byte]
+    diagnostics = ()
+    if pc > code_len:  # the last instruction is a PUSH cut short
+        diagnostics = (
+            f"{_SPECS[code[start]].mnemonic} at pc 0x{start:x} runs past end"
+            f" of code; immediate zero padded",
+        )
+    return Program(code, code_len, frozenset(jumpdests), diagnostics)

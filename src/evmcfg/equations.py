@@ -39,10 +39,10 @@ one Move. An arity error names its pc and the entry context, as transfer's.
 
 The worklist solver finds block bodies as it enters them: it pulls blocks
 from scan_blocks, in pc order, only until the popped start is among them.
-An input that fails in the solve therefore never scans the code after the
-failing block. A solve that succeeds scans the rest, so the system's
-blocks and unreached hold the whole partition. The naive solver partitions
-the whole program up front.
+An input that fails in the solve therefore neither scans nor decodes the
+code after the failing block. A solve that succeeds scans the rest, so the
+system's blocks and unreached hold the whole partition. The naive solver
+partitions the whole program up front.
 
 The worklist solver stores states only at block starts.
 EquationSystem.state_at derives every later pc of a block on first
@@ -222,7 +222,7 @@ def block_exits(
                 f" {key.render()})",
                 pc=instr.pc,
             )
-        falls = spec.byte_value == JUMPI_BYTE and program.has_instruction(instr.next_pc)
+        falls = spec.byte_value == JUMPI_BYTE and instr.next_pc < program.code_len
     else:
         falls = instr.next_pc in jumpdests
     try:
@@ -259,7 +259,7 @@ def contributions(
     if (
         instr.spec.is_jump
         or next_pc in program.jumpdests
-        or not program.has_instruction(next_pc)
+        or next_pc >= program.code_len
     ):
         return [
             (target, idmap(landed))
@@ -376,7 +376,7 @@ def solve(
     BudgetExceededError when its work would pass MAX_WORK; the naive
     solver has no budget.
     """
-    if not program.instructions:
+    if not program.code_len:
         raise AnalysisError("program has no instructions")
     if mode not in ("worklist", "naive"):
         raise ValueError(f"unknown solver mode {mode!r}")

@@ -264,7 +264,7 @@ def _fold(
                         pc=instr.pc,
                     )
                 successors.append(tuple.__new__(ConcreteState, (dest, stack)))
-            falls = spec.byte_value == JUMPI_BYTE and pc in program._by_pc
+            falls = spec.byte_value == JUMPI_BYTE and pc < program.code_len
             if falls and pc not in targets:
                 successors.append(tuple.__new__(ConcreteState, (pc, stack)))
                 successors.sort()
@@ -306,7 +306,7 @@ def enumerate_states(program: Program, max_steps: int = DEFAULT_MAX_STEPS) -> Tr
     diagnosis: the runs of first-found entries from the start to the failing
     state.
     """
-    if not program.instructions:
+    if not program.code_len:
         raise AnalysisError("program has no instructions")
     start = _START
     parents: dict[ConcreteState, ConcreteState | None] = {start: None}

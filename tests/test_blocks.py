@@ -3,13 +3,14 @@
 from __future__ import annotations
 
 import random
+from typing import NamedTuple
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from evmcfg import Instruction, Program, decode_bytecode, partition_blocks, solve
-from evmcfg.blocks import Block, Terminator
+from evmcfg.blocks import Block, Terminator, scan_blocks
 from evmcfg.bytecode import (
     _NON_HEX,
     _SPECS,
@@ -172,9 +173,18 @@ def test_block_bounds_and_coverage_on_generated_and_fuzz_inputs():
 
 # decode_bytecode and partition_blocks as they were before each became one
 # scan building plain tuples, kept verbatim (Block built by keyword) as the
-# references for the instructions, diagnostics, errors and blocks.
+# references for the instructions, diagnostics, errors and blocks. A Program
+# now builds its instructions itself, from its code, so the reference
+# decoder returns its own record of the same fields.
 
-def reference_decode_bytecode(hex_text: str) -> Program:
+class ReferenceProgram(NamedTuple):
+    instructions: tuple[Instruction, ...]
+    code_len: int
+    jumpdests: frozenset[int]
+    diagnostics: tuple[str, ...]
+
+
+def reference_decode_bytecode(hex_text: str) -> ReferenceProgram:
     digits = _clean_hex(hex_text)
     bad = _NON_HEX.search(digits)
     if bad is not None:
@@ -211,7 +221,7 @@ def reference_decode_bytecode(hex_text: str) -> Program:
         instructions.append(Instruction(pc, spec, immediate))
         pc += 1 + spec.immediate_len
 
-    return Program(
+    return ReferenceProgram(
         instructions=tuple(instructions),
         code_len=len(code),
         jumpdests=frozenset(jumpdests),
@@ -231,7 +241,7 @@ def _reference_terminator(last: Instruction, next_is_jumpdest: bool) -> Terminat
     return Terminator.CODE_END
 
 
-def reference_partition_blocks(program: Program):
+def reference_partition_blocks(program: Program | ReferenceProgram):
     instructions = program.instructions
     blocks: list[Block] = []
     unreached: list[int] = []
@@ -279,6 +289,14 @@ def assert_front_end_matches_reference(hex_text: str) -> None:
         assert (got.value.offset, got.value.message) == (err.offset, err.message)
         return
     program = decode_bytecode(hex_text)
+    # A solve that fails builds the instructions only up to its failing
+    # block; everything read after it must still be whole.
+    try:
+        solve(program)
+    except AnalysisError:
+        pass
+    built = len(program.built)
+    assert program.built == list(expected.instructions[:built])
     assert program.instructions == expected.instructions
     assert all(type(ins) is Instruction for ins in program.instructions)
     assert program.code_len == expected.code_len
@@ -289,6 +307,11 @@ def assert_front_end_matches_reference(hex_text: str) -> None:
     assert [tuple(b) for b in blocks] == [tuple(b) for b in expected_blocks]
     assert all(type(b) is Block for b in blocks)
     assert unreached == expected_unreached
+    # No instruction is built twice: block bodies and the pc map hold the
+    # very objects of the instruction tuple.
+    by_pc = {ins.pc: ins for ins in program.instructions}
+    assert all(ins is by_pc[ins.pc] for b in blocks for ins in b.body)
+    assert all(program.instruction_at(pc) is ins for pc, ins in by_pc.items())
 
 
 @settings(max_examples=300)
@@ -306,6 +329,57 @@ def test_front_end_matches_reference_on_generated_programs():
     rng = random.Random(0xB10C)
     for _ in range(200):
         assert_front_end_matches_reference(generated_hex(rng.getrandbits(32)))
+
+
+# ------------------------------------------- instructions built on demand
+
+# Each Instruction is built by the first scan to reach it and kept on the
+# Program, so what a solve or a scan sees must not depend on what was read
+# or scanned before.
+
+def solve_outcome(program: Program):
+    try:
+        system = solve(program)
+    except AnalysisError as err:
+        return type(err), err.kind, err.pc, err.message
+    return system.blocks, system.unreached, system.states, system.moves
+
+
+@settings(max_examples=300)
+@given(front_end_bytes())
+def test_solve_does_not_depend_on_reading_instructions_first(raw: bytes):
+    fresh, read = decode_bytecode(raw.hex()), decode_bytecode(raw.hex())
+    read.instructions
+    assert solve_outcome(fresh) == solve_outcome(read)
+
+
+@settings(max_examples=300)
+@given(front_end_bytes(), st.lists(st.booleans(), max_size=80))
+def test_interleaved_scans_share_their_instructions(raw: bytes, turns: list[bool]):
+    program = decode_bytecode(raw.hex())
+    scans = [scan_blocks(program, []), scan_blocks(program, [])]
+    seen: list[list[Block]] = [[], []]
+    for turn in turns:
+        block = next(scans[turn], None)
+        if block is not None:
+            seen[turn].append(block)
+    for scan, blocks in zip(scans, seen):
+        blocks.extend(scan)
+    assert seen[0] == seen[1]
+    assert all(a.body[k] is b.body[k] for a, b in zip(*seen) for k in range(len(a.body)))
+    assert program.built == list(program.instructions)
+
+
+@settings(max_examples=300)
+@given(front_end_bytes(), st.booleans(), st.booleans())
+def test_programs_of_the_same_bytes_are_equal(raw: bytes, scan_a: bool, scan_b: bool):
+    a, b = decode_bytecode(raw.hex()), decode_bytecode(raw.hex())
+    for program, scan in ((a, scan_a), (b, scan_b)):
+        if scan:
+            next(scan_blocks(program, []), None)
+    assert a == b
+    assert hash(a) == hash(b)
+    assert a != decode_bytecode((raw + b"\x00").hex())
 
 
 # ------------------------------------------- the solver's on-demand scan
